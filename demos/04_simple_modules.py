@@ -26,8 +26,8 @@ for family, vals in samples.items():
     cert = repmod.is_simple(rep)
     chars = repmod.central_character(rep)
     flags = ", ".join("%s=%s" % (k, "0" if not v else "nonzero") for k, v in chars.items())
-    print("%-4s dim=%d  relations zero: %-5s  simple: %s (span %d)" % (
-        family, rep.dim, verdict["all_zero"], cert.simple, cert.span_dim))
+    print("%-4s dim=%d  relations zero: %-5s  simple: %s (span %d, %s)" % (
+        family, rep.dim, verdict["all_zero"], cert.simple, cert.span_dim, cert.path))
     print("      characters: %s" % flags)
 print()
 
@@ -38,7 +38,8 @@ print("  reconstructed == closed form:",
       repmod.e2_from_subalgebra_action(rb) == rp.act["e2"])
 print()
 
-print("A block-diagonal sum is certified non-simple:")
+print("A block-diagonal sum is certified non-simple; its span falls short mod p,")
+print("so the exact span decides:")
 r = repmod.build(ctx, repmod.module_params(ctx, "V4p", 1, 1, 0))
 cert = repmod.is_simple(repmod.direct_sum(r, r))
-print("  simple:", cert.simple, " span:", cert.span_dim, "of", (2 * r.dim) ** 2)
+print("  simple:", cert.simple, " span:", cert.span_dim, "of", (2 * r.dim) ** 2, " path:", cert.path)

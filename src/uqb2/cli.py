@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import conformance, expr, isoclass, lattice, repmod, structure, torus
-from .cyclotomic import field_init
+from .cyclotomic import check_order, field_init
 from .pbw import PBWAlgebra
 
 
@@ -135,6 +135,7 @@ def cmd_simple(args):
         "dim": r.dim,
         "simple": cert.simple,
         "certificate": cert.span_dim,
+        "path": cert.path,
     })
     return 0
 
@@ -256,8 +257,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_order(args.m)
         return args.fn(args)
-    except (expr.ParseError, ValueError) as exc:
+    except (expr.ParseError, ValueError, ArithmeticError) as exc:
+        # ArithmeticError: input that divides by zero, such as "1/0"
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -13,6 +13,7 @@ arithmetic with a single gcd-normalisation per operation.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -64,6 +65,61 @@ def cyclotomic_polynomial(m):
     return polys[m]
 
 
+def check_order(m):
+    """Reject an order of the root of unity below 5 (the one place m is validated)."""
+    if not isinstance(m, int) or m < 5:
+        raise ValueError("order of the root of unity must be an integer >= 5")
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin; the bases 2, 3, 5, 7 suffice below 3.2e9."""
+    if n < 2:
+        return False
+    for s in (2, 3, 5, 7):
+        if n % s == 0:
+            return n == s
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def residue_map(m):
+    """(p, (r^0, ..., r^(m-1))) for the largest prime p < 2^31 with p = 1 mod m
+    and a primitive m-th root of unity r mod p.
+
+    Sending q to r is a ring map from Q(zeta_m) to F_p on every scalar whose
+    denominator p does not divide, so a rank computed from residues is a lower
+    bound for the exact rank.  Computed on first use, once per m.
+    """
+    p = (2 ** 31 - 2) // m * m + 1
+    while not _is_prime(p):
+        p -= m
+    g = 2
+    while True:
+        r = pow(g, (p - 1) // m, p)
+        # r^m = 1; its order is m unless r^(m/s) = 1 for a divisor s > 1
+        if all(pow(r, m // s, p) != 1 for s in range(2, m + 1) if m % s == 0):
+            break
+        g += 1
+    powers = [1]
+    for _ in range(m - 1):
+        powers.append(powers[-1] * r % p)
+    return p, tuple(powers)
+
+
 class FieldContext:
     """Arithmetic context for Q(zeta_m) with m >= 5.
 
@@ -75,8 +131,7 @@ class FieldContext:
     """
 
     def __init__(self, m):
-        if not isinstance(m, int) or m < 5:
-            raise ValueError("order of the root of unity must be an integer >= 5")
+        check_order(m)
         self.m = m
         self.l = m if m % 2 else m // 2
         self.phi = tuple(cyclotomic_polynomial(m))
@@ -273,6 +328,14 @@ class CycNum:
         den = math.lcm(*(f.denominator for f in inv))
         nums = [int(f * den) for f in inv[: self.ctx.degree]]
         return _make(self.ctx, nums, den)
+
+    def residue(self):
+        """Image in F_p under q -> r, with (p, r) from ``residue_map``; None
+        when p divides the denominator."""
+        p, rpow = residue_map(self.ctx.m)
+        if self.den % p == 0:
+            return None
+        return sum(n * r for n, r in zip(self.num, rpow)) * pow(self.den, -1, p) % p
 
     def __truediv__(self, other):
         o = self._coerce(other)

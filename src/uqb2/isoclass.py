@@ -4,7 +4,8 @@ Two routes that must agree: a parameter predicate scanning the witness range
 p in [0, l-1] for the closed-form matching equations of each family, and an
 independent brute-force intertwiner solver that looks for an invertible T
 with A_g T = T B_g for all generator actions (row-vector right modules, so
-such a T is exactly a module isomorphism).
+such a T is exactly a module isomorphism).  The solver rules out an
+intertwiner mod p first, when it can, and otherwise solves exactly.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .repmod import build
+from .repmod import build, residue_action
 
 # families sharing the same matching equations (the subalgebra families
 # correspond one-to-one with their primed extensions, parameters included)
@@ -98,37 +99,66 @@ def intertwines(r1, r2, T):
     return True
 
 
-def find_intertwiner(r1, r2, tries=8):
-    """Invertible solution T of the joint system A_g T = T B_g, or None.
+def _system_rows(act1, act2, d, zero):
+    """Sparse rows {column: coefficient} of A_g T - T B_g = 0 in the entries of T.
 
-    The solution space is computed exactly; between simple modules it has
-    dimension at most one, so testing its basis decides.  For non-simple
-    inputs with a solution space of dimension > 1, a fixed deterministic set
-    of combinations is tried as well, which can in principle miss an
-    invertible element (documented limitation; never triggered by the simple
-    families this package builds).
+    Works on field scalars and on residues mod p alike: each coefficient is
+    one entry, or the difference A[i][i] - B[j][j] of two.
     """
-    if r1.dim != r2.dim or set(r1.act) != set(r2.act):
-        return None
-    ctx = r1.ctx
-    d = r1.dim
     rows = []
-    for gname in sorted(r1.act):
-        A = r1.act[gname]
-        B = r2.act[gname]
+    for gname in sorted(act1):
+        A = act1[gname]
+        B = act2[gname]
         for i in range(d):
             for j in range(d):
                 row = {}
                 for k in range(d):
                     if A[i][k]:
                         col = k * d + j
-                        row[col] = row.get(col, ctx.zero) + A[i][k]
+                        row[col] = row.get(col, zero) + A[i][k]
                     if B[k][j]:
                         col = i * d + k
-                        row[col] = row.get(col, ctx.zero) - B[k][j]
+                        row[col] = row.get(col, zero) - B[k][j]
                 row = {c: v for c, v in row.items() if v}
                 if row:
                     rows.append(row)
+    return rows
+
+
+def _full_rank_mod_p(r1, r2):
+    """True when the system has rank d*d over F_p, which proves T = 0 is its
+    only solution over the field; False decides nothing."""
+    d = r1.dim
+    reduced1, reduced2 = residue_action(r1), residue_action(r2)
+    if reduced1 is None or reduced2 is None:
+        return False
+    p = reduced1[0]
+    ech = linalg.ModEchelon(p)
+    for row in _system_rows(reduced1[1], reduced2[1], d, 0):
+        ech.insert(row)
+        if len(ech) == d * d:
+            return True
+    return False
+
+
+def find_intertwiner(r1, r2, tries=8):
+    """Invertible solution T of the joint system A_g T = T B_g, or None.
+
+    A system of full rank mod p has only T = 0 as solution, so None is
+    returned at once.  Otherwise the solution space is computed exactly;
+    between simple modules it has dimension at most one, so testing its basis
+    decides.  For non-simple inputs with a solution space of dimension > 1, a
+    fixed deterministic set of combinations is tried as well, which can in
+    principle miss an invertible element (documented limitation; never
+    triggered by the simple families this package builds).
+    """
+    if r1.dim != r2.dim or set(r1.act) != set(r2.act):
+        return None
+    if _full_rank_mod_p(r1, r2):
+        return None
+    ctx = r1.ctx
+    d = r1.dim
+    rows = _system_rows(r1.act, r2.act, d, ctx.zero)
     basis = linalg.nullspace(rows, d * d, ctx)
     if not basis:
         return None

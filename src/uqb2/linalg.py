@@ -60,9 +60,14 @@ def mat_mul(a, b):
 
 
 def mat_pow(ctx, a, n):
+    """a^n for n >= 0 by square-and-multiply."""
     out = identity(ctx, len(a))
-    for _ in range(n):
-        out = mat_mul(out, a)
+    while n:
+        if n & 1:
+            out = mat_mul(out, a)
+        n >>= 1
+        if n:
+            a = mat_mul(a, a)
     return out
 
 
@@ -187,3 +192,81 @@ def nullspace(rows, ncols, ctx):
                 vec[pcol] = -c
         basis.append(vec)
     return basis
+
+
+# -- residues mod a prime ----------------------------------------------------
+#
+# Reduction to F_p can only lower a rank, so these helpers give one-sided
+# certificates: a full rank mod p proves full rank over the field, and any
+# other outcome decides nothing.
+
+
+def mat_residues(a):
+    """Entrywise ``CycNum.residue`` of a matrix, or None if an entry has none."""
+    out = []
+    for row in a:
+        res = [c.residue() if c else 0 for c in row]
+        if None in res:
+            return None
+        out.append(res)
+    return out
+
+
+def identity_mod(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def mat_mul_mod(a, b, p):
+    """Product of matrices of residues mod p."""
+    m = len(b[0])
+    out = []
+    for arow in a:
+        row = [0] * m
+        for c, brow in zip(arow, b):
+            if c:
+                for j, v in enumerate(brow):
+                    if v:
+                        row[j] += c * v
+        out.append([x % p for x in row])
+    return out
+
+
+class ModEchelon:
+    """``SparseEchelon`` over F_p: the same incremental reduced row echelon
+    form, on dict vectors of integers taken mod p."""
+
+    def __init__(self, p):
+        self.p = p
+        self.rows = {}
+
+    def __len__(self):
+        return len(self.rows)
+
+    def insert(self, vec):
+        """Add vec to the span; returns True if it enlarged the span."""
+        p, rows = self.p, self.rows
+        vec = {k: v % p for k, v in vec.items()}
+        for col in list(vec):
+            c = vec.get(col)
+            row = rows.get(col)
+            if not c or row is None:
+                continue
+            for j, v in row.items():
+                vec[j] = (vec.get(j, 0) - c * v) % p
+        rem = {k: v for k, v in vec.items() if v}
+        if not rem:
+            return False
+        pivot = min(rem)
+        inv = pow(rem[pivot], -1, p)
+        rem = {k: v * inv % p for k, v in rem.items()}
+        for row in rows.values():
+            c = row.get(pivot)
+            if c:
+                for j, v in rem.items():
+                    s = (row.get(j, 0) - c * v) % p
+                    if s:
+                        row[j] = s
+                    else:
+                        del row[j]
+        rows[pivot] = rem
+        return True

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
+from .cyclotomic import residue_map
 from .pbw import PBWElement
 
 SUBALGEBRA_FAMILIES = ("V1", "V2", "V3")
@@ -274,6 +275,49 @@ def verify_relations(rep):
 class SimplicityCertificate:
     simple: bool
     span_dim: int
+    path: str  # "modular" or "exact": which computation decided the verdict
+
+
+def residue_action(rep):
+    """(p, {generator: matrix of residues mod p}) from ``cyclotomic.residue_map``,
+    or None when p divides the denominator of some entry."""
+    p, _ = residue_map(rep.ctx.m)
+    act = {}
+    for gname, M in rep.act.items():
+        act[gname] = linalg.mat_residues(M)
+        if act[gname] is None:
+            return None
+    return p, act
+
+
+def word_span(gens, identity, mul, span, target):
+    """Insert the vectorized words in ``gens`` into ``span`` breadth first,
+    right-multiplying the new words of one layer by every generator, until
+    the span reaches ``target`` or stops growing; returns its dimension.
+
+    ``mul`` multiplies two matrices and ``span`` is a ``SparseEchelon`` or a
+    ``ModEchelon``, so the same loop runs over the field and over F_p.
+    """
+    d = len(identity)
+
+    def vectorize(M):
+        return {i * d + j: x for i, row in enumerate(M) for j, x in enumerate(row) if x}
+
+    span.insert(vectorize(identity))
+    frontier = [identity]
+    while frontier and len(span) < target:
+        nxt = []
+        for M in frontier:
+            for G in gens:
+                P = mul(M, G)
+                if span.insert(vectorize(P)):
+                    nxt.append(P)
+                    if len(span) == target:
+                        break
+            if len(span) == target:
+                break
+        frontier = nxt
+    return len(span)
 
 
 def is_simple(rep):
@@ -281,38 +325,22 @@ def is_simple(rep):
 
     Closes the span of all words in the action matrices (right multiplication
     by generators) and certifies simplicity exactly when the span reaches the
-    full d*d matrix space.
+    full d*d matrix space.  The words are first closed over F_p: reduction
+    mod p can only lower a span, so a full span there proves simplicity.
+    Any other outcome is decided, and ``span_dim`` computed, over the field.
     """
-    ctx = rep.ctx
     d = rep.dim
     target = d * d
-    gens = list(rep.act.values())
-
-    def vectorize(M):
-        out = {}
-        for i in range(d):
-            row = M[i]
-            for j in range(d):
-                if row[j]:
-                    out[i * d + j] = row[j]
-        return out
-
-    ech = linalg.SparseEchelon()
-    frontier = [linalg.identity(ctx, d)]
-    ech.insert(vectorize(frontier[0]))
-    while frontier and len(ech) < target:
-        nxt = []
-        for M in frontier:
-            for G in gens:
-                P = linalg.mat_mul(M, G)
-                if ech.insert(vectorize(P)):
-                    nxt.append(P)
-                    if len(ech) == target:
-                        break
-            if len(ech) == target:
-                break
-        frontier = nxt
-    return SimplicityCertificate(simple=len(ech) == target, span_dim=len(ech))
+    reduced = residue_action(rep)
+    if reduced is not None:
+        p, act = reduced
+        mul = lambda a, b: linalg.mat_mul_mod(a, b, p)
+        if word_span(list(act.values()), linalg.identity_mod(d), mul,
+                     linalg.ModEchelon(p), target) == target:
+            return SimplicityCertificate(simple=True, span_dim=target, path="modular")
+    span_dim = word_span(list(rep.act.values()), linalg.identity(rep.ctx, d),
+                         linalg.mat_mul, linalg.SparseEchelon(), target)
+    return SimplicityCertificate(simple=span_dim == target, span_dim=span_dim, path="exact")
 
 
 def act_matrix(rep, element):

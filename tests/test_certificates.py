@@ -1,0 +1,131 @@
+"""The modular certificates of is_simple and find_intertwiner against the
+exact computations they stand in front of.
+
+A full rank mod p proves full rank over Q(zeta_m); every other outcome must
+fall back to the exact path, which alone reports a span below d*d or an
+intertwiner.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from uqb2 import isoclass, linalg, repmod
+from uqb2.cyclotomic import residue_map
+
+MS = (5, 6, 7, 8, 12)
+
+
+def _params(ctx, family):
+    q = ctx.q
+    return {
+        "V1": [(1, 1, 1, 0), (q, q ** 2, 2, q ** 3)],
+        "V2": [(1, 1, 1), (q ** 2, 2, q)],
+        "V3": [(1, 1), (q, 2)],
+        "V1p": [(1, 1, 1, 0), (q, q ** 2, 2, q ** 3)],
+        "V2p": [(1, 1, 1), (q ** 2, 2, q)],
+        "V3p": [(1, 1), (q, 2)],
+        "V4p": [(1, 1, 0), (q, 0, q ** 2)],
+    }[family]
+
+
+def _module(ctx, family, vals):
+    return repmod.build(ctx, repmod.module_params(ctx, family, *vals))
+
+
+def _exact_span(rep):
+    d = rep.dim
+    return repmod.word_span(list(rep.act.values()), linalg.identity(rep.ctx, d),
+                            linalg.mat_mul, linalg.SparseEchelon(), d * d)
+
+
+def _exact_solutions(r1, r2):
+    rows = isoclass._system_rows(r1.act, r2.act, r1.dim, r1.ctx.zero)
+    return linalg.nullspace(rows, r1.dim ** 2, r1.ctx)
+
+
+@pytest.mark.parametrize("m", MS)
+def test_modular_simplicity_matches_exact_span(context_factory, m):
+    ctx = context_factory(m)
+    for family in repmod.FAMILIES:
+        for vals in _params(ctx, family):
+            rep = _module(ctx, family, vals)
+            cert = repmod.is_simple(rep)
+            assert cert == repmod.SimplicityCertificate(True, rep.dim ** 2, "modular")
+            assert _exact_span(rep) == cert.span_dim, (m, family, vals)
+
+
+@pytest.mark.parametrize("m", MS)
+def test_modular_intertwiner_verdict_matches_exact(context_factory, m):
+    ctx = context_factory(m)
+    for family in repmod.FAMILIES:
+        first, second = _params(ctx, family)
+        r1, r2 = _module(ctx, family, first), _module(ctx, family, second)
+        # distinct parameters: the certificate decides, and the exact system agrees
+        assert isoclass._full_rank_mod_p(r1, r2), (m, family)
+        assert isoclass.find_intertwiner(r1, r2) is None
+        assert _exact_solutions(r1, r2) == []
+        # equal parameters: no certificate, and the exact path finds T
+        assert not isoclass._full_rank_mod_p(r1, r1)
+        T = isoclass.find_intertwiner(r1, r1)
+        assert T is not None and isoclass.intertwines(r1, r1, T)
+        assert len(_exact_solutions(r1, r1)) == 1
+
+
+@pytest.mark.parametrize("m", (5, 8))
+def test_direct_sums_report_exact_spans(context_factory, m):
+    ctx = context_factory(m)
+    for family in repmod.FAMILIES:
+        first, second = _params(ctx, family)
+        M, N = _module(ctx, family, first), _module(ctx, family, second)
+        d = M.dim
+        same = repmod.is_simple(repmod.direct_sum(M, M))
+        pair = repmod.is_simple(repmod.direct_sum(M, N))
+        assert same == repmod.SimplicityCertificate(False, d * d, "exact"), (m, family)
+        assert pair == repmod.SimplicityCertificate(False, 2 * d * d, "exact"), (m, family)
+
+
+@pytest.mark.parametrize("m", (5, 8))
+def test_parameter_with_denominator_p_falls_back(context_factory, m):
+    ctx = context_factory(m)
+    p, _ = residue_map(m)
+    small = Fraction(1, p)
+    rep = _module(ctx, "V1p", (1, 1, small, 0))
+    assert repmod.residue_action(rep) is None
+    cert = repmod.is_simple(rep)
+    assert cert == repmod.SimplicityCertificate(True, rep.dim ** 2, "exact")
+    other = _module(ctx, "V1p", (1, 1, 2 * small, 0))
+    assert not isoclass._full_rank_mod_p(rep, other)
+    assert isoclass.find_intertwiner(rep, other) is None
+    T = isoclass.find_intertwiner(rep, rep)
+    assert T is not None and isoclass.intertwines(rep, rep, T)
+
+
+def test_span_lost_mod_p_falls_back(context_factory):
+    # alpha = p vanishes mod p, and with it every entry of V4p but the
+    # nilpotent shift in e2: the span mod p stays below d*d, the exact one
+    # does not
+    ctx = context_factory(5)
+    p, _ = residue_map(5)
+    rep = _module(ctx, "V4p", (p, 0, 0))
+    reduced_p, act = repmod.residue_action(rep)
+    mul = lambda a, b: linalg.mat_mul_mod(a, b, reduced_p)
+    d = rep.dim
+    assert repmod.word_span(list(act.values()), linalg.identity_mod(d), mul,
+                            linalg.ModEchelon(reduced_p), d * d) < d * d
+    assert repmod.is_simple(rep) == repmod.SimplicityCertificate(True, d * d, "exact")
+    # equal mod p, not isomorphic over the field
+    other = _module(ctx, "V4p", (2 * p, 0, 0))
+    assert not isoclass._full_rank_mod_p(rep, other)
+    assert isoclass.find_intertwiner(rep, other) is None
+    assert not isoclass.iso_predicate(ctx, rep.params, other.params).isomorphic
+
+
+def test_mod_echelon_rank():
+    ech = linalg.ModEchelon(7)
+    assert ech.insert({0: 1, 1: 2})
+    assert ech.insert({1: 3, 2: 1})
+    assert not ech.insert({0: 1, 1: 5, 2: 1})  # first + second
+    assert not ech.insert({0: 7, 2: 14})  # zero mod 7
+    assert ech.insert({2: 6})
+    assert len(ech) == 3

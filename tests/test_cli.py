@@ -84,6 +84,7 @@ def test_simple_and_character(capsys):
                            "--params", "1,1,1,0")
     assert code == 0
     assert out["simple"] is True and out["certificate"] == 25
+    assert out["path"] == "modular"
     code, out, _ = run_cli(capsys, "character", "--m", "5", "--family", "V2p",
                            "--params", "q,2,1")
     assert code == 0
@@ -148,3 +149,24 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_arithmetic_error_is_a_usage_error(capsys):
+    for expression in ("1/0", "e1*(q-q)^-1"):
+        code, out, err = run_cli(capsys, "nf", "--m", "5", expression)
+        assert code == 2 and out is None
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("m", ["-3", "0", "4"])
+def test_every_subcommand_rejects_small_m(capsys, m):
+    for argv in (
+        ["pideg", "--m", m, "--matrix", "uqb2"],
+        ["nf", "--m", m, "e1"],
+        ["conformance", "--m", m],
+        ["simple", "--m", m, "--family", "V1p", "--params", "1,1,1,0"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out is None, argv
+        assert err.startswith("error:") and err.count("\n") == 1, argv

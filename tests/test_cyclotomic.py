@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from uqb2.cyclotomic import cyclotomic_polynomial, field_init
+from uqb2 import cyclotomic
+from uqb2.cyclotomic import cyclotomic_polynomial, field_init, residue_map
 
 
 def test_field_init_basic():
@@ -118,3 +119,38 @@ def test_fraction_and_int_coercion():
     half = ctx.from_fraction(Fraction(1, 2))
     assert half + half == ctx.one
     assert (ctx.one / 2) == half
+
+
+@pytest.mark.parametrize("m", [5, 6, 7, 8, 12, 20])
+def test_residue_map_is_a_ring_map(m):
+    p, rpow = residue_map(m)
+    assert p < 2 ** 31 and p % m == 1 and cyclotomic._is_prime(p)
+    r = rpow[1]
+    assert len(rpow) == m and all(rpow[k] == pow(r, k, p) for k in range(m))
+    assert sorted({pow(r, k, p) for k in range(m)}) == sorted(rpow)  # order m
+    assert sum(c * rk for c, rk in zip(cyclotomic_polynomial(m), rpow)) % p == 0
+    ctx = field_init(m)
+    rng = random.Random(m)
+    for _ in range(40):
+        a = _random_scalar(ctx, rng)
+        b = _random_scalar(ctx, rng)
+        assert (a * b).residue() == a.residue() * b.residue() % p
+        assert (a + b).residue() == (a.residue() + b.residue()) % p
+        if a:
+            assert a.invert().residue() * a.residue() % p == 1
+    assert ctx.q_pow(3).residue() == rpow[3]
+    assert ctx.from_fraction(Fraction(3, p)).residue() is None
+
+
+def test_field_init_leaves_the_residue_map_alone():
+    before = residue_map.cache_info().misses
+    field_init(29)
+    assert residue_map.cache_info().misses == before
+
+
+def test_is_prime_small_and_strong_pseudoprimes():
+    primes = [n for n in range(60) if cyclotomic._is_prime(n)]
+    assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    # strong pseudoprimes to base 2 (2047), and to bases 2 and 3 (1373653)
+    assert not cyclotomic._is_prime(2047) and not cyclotomic._is_prime(1373653)
+    assert cyclotomic._is_prime(2 ** 31 - 1)

@@ -176,3 +176,15 @@ def test_act_matrix_general_element(context_factory, algebra_factory):
     z1_matrix = repmod.act_matrix(r, structure.named(alg, "z_one"))
     chars = repmod.central_character(r)
     assert linalg.scalar_of(z1_matrix) == chars["z1"]
+
+
+def test_mat_pow_matches_repeated_products(context_factory):
+    for m in (5, 8):
+        ctx = context_factory(m)
+        for family in repmod.FAMILIES:
+            r = repmod.build(ctx, repmod.module_params(ctx, family, *_sample_tuples(ctx, family)[1]))
+            for gname, G in r.act.items():
+                power = linalg.identity(ctx, r.dim)
+                for n in range(2 * ctx.l + 1):
+                    assert linalg.mat_pow(ctx, G, n) == power, (m, family, gname, n)
+                    power = linalg.mat_mul(power, G)

@@ -8,7 +8,12 @@ identity checked downstream is exact (no tolerances anywhere).
 
 Internally a scalar keeps integer numerators over one common denominator;
 this keeps the hot paths (addition, convolution, reduction) in pure integer
-arithmetic with a single gcd-normalisation per operation.
+arithmetic with a single gcd-normalisation per operation.  Inversion stays
+integral too: a = A/den has 1/a = den * P / N, where P is the product of the
+nontrivial conjugates of A (q -> q^j for 1 < j < m, gcd(j, m) = 1) and
+N = A * P is the norm, a rational integer (Cohen, GTM 138, section 4.3).
+The q-bracket [k] = (q^(sk) - 1)/(q^s - 1) is the geometric sum of q^(si),
+0 <= i < k, taken straight from the q-power table without any division.
 """
 
 from __future__ import annotations
@@ -42,7 +47,8 @@ def _poly_mul_int(a, b):
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] += x * y
+                if y:
+                    out[i + j] += x * y
     return out
 
 
@@ -65,10 +71,18 @@ def cyclotomic_polynomial(m):
     return polys[m]
 
 
+# Largest accepted order of q.  A FieldContext holds m q-power vectors of
+# length phi(m), so an unbounded m would exhaust memory before any check ran.
+MAX_ORDER = 1000
+
+
 def check_order(m):
-    """Reject an order of the root of unity below 5 (the one place m is validated)."""
-    if not isinstance(m, int) or m < 5:
-        raise ValueError("order of the root of unity must be an integer >= 5")
+    """Reject an order of the root of unity outside 5..MAX_ORDER (the one
+    place m is validated)."""
+    if not isinstance(m, int) or not 5 <= m <= MAX_ORDER:
+        raise ValueError(
+            "order of the root of unity must be an integer from 5 to %d" % MAX_ORDER
+        )
 
 
 def _is_prime(n):
@@ -198,20 +212,37 @@ class FieldContext:
         return self.m // math.gcd(self.m, k % self.m)
 
     def q_bracket(self, k, step):
-        """(q^(step*k) - 1) / (q^step - 1), evaluated exactly.
+        """[k] = (q^(step*k) - 1) / (q^step - 1), evaluated without division.
 
-        Requires q^step != 1, i.e. step not divisible by m.
+        [k] is the geometric sum of q^(step*i) over 0 <= i < k.  It depends on k
+        only through q^(step*k), so k is first taken modulo the order of
+        q^step, which also covers k < 0.  Requires q^step != 1, i.e. step not
+        divisible by m.
         """
         if step % self.m == 0:
             raise ValueError("bracket step must not be divisible by m")
-        num = self.q_pow(step * k) - self.one
-        den = self.q_pow(step) - self.one
-        return num / den
+        total = [0] * self.degree
+        for i in range(k % self.ord_q_pow(step)):
+            total = [a + b for a, b in zip(total, self._qpow[step * i % self.m])]
+        return CycNum(self, tuple(total), 1)
 
 
 def field_init(m):
     """Build the arithmetic context for Q(zeta_m); rejects m < 5."""
     return FieldContext(m)
+
+
+def _mul_int(ctx, a, b):
+    """Product of two integer power-basis vectors, reduced modulo Phi_m."""
+    d = ctx.degree
+    conv = _poly_mul_int(a, b)
+    out = conv[:d]
+    for k, row in enumerate(ctx._red, d):
+        c = conv[k]
+        if c:
+            for i in range(d):
+                out[i] += c * row[i]
+    return out
 
 
 def _make(ctx, nums, den):
@@ -289,45 +320,42 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = self.ctx.degree
-        a, b = self.num, o.num
-        conv = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        red = self.ctx._red
-        out = conv[:d]
-        for k in range(d, 2 * d - 1):
-            c = conv[k]
-            if c:
-                row = red[k - d]
-                for i in range(d):
-                    out[i] += c * row[i]
-        return _make(self.ctx, out, self.den * o.den)
+        return _make(self.ctx, _mul_int(self.ctx, self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 
     def invert(self):
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse by the norm: 1/a = prod(sigma(a), sigma != 1) / N(a).
+
+        With a = A/den, the conjugates sigma_j(A) (q -> q^j, gcd(j, m) = 1)
+        are read off the q-power table and multiplied into P pairwise; then
+        N = A*P is a rational integer and 1/a = den*P/N, in integer
+        arithmetic throughout.
+        """
         if self.is_zero():
             raise ZeroDivisionError("cannot invert zero")
-        phi = [Fraction(c) for c in self.ctx.phi]
-        a = [Fraction(n, self.den) for n in self.num]
-        r0, r1 = phi, _ptrim(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while _pdeg(r1) >= 0:
-            q, r = _pdivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _psub(s0, _pmul(q, s1))
-        if _pdeg(r0) != 0:
-            raise ArithmeticError("the cyclotomic modulus failed to be irreducible")
-        inv = [c / r0[0] for c in s0]
-        inv += [Fraction(0)] * (self.ctx.degree - len(inv))
-        den = math.lcm(*(f.denominator for f in inv))
-        nums = [int(f * den) for f in inv[: self.ctx.degree]]
-        return _make(self.ctx, nums, den)
+        ctx = self.ctx
+        m, d, qpow, A = ctx.m, ctx.degree, ctx._qpow, self.num
+        factors = []
+        for j in range(2, m):
+            if math.gcd(j, m) != 1:
+                continue
+            conj = [0] * d
+            for i, x in enumerate(A):
+                if x:
+                    for t, y in enumerate(qpow[i * j % m]):
+                        if y:
+                            conj[t] += x * y
+            factors.append(conj)
+        # pairwise, so that the two operands of a product have similar sizes
+        while len(factors) > 1:
+            factors = [_mul_int(ctx, *factors[i:i + 2]) if i + 1 < len(factors)
+                       else factors[i] for i in range(0, len(factors), 2)]
+        P = factors[0]
+        N = _mul_int(ctx, A, P)
+        if any(N[1:]):
+            raise ArithmeticError("the norm of a field element is not rational")
+        return _make(ctx, [self.den * c for c in P], N[0])
 
     def residue(self):
         """Image in F_p under q -> r, with (p, r) from ``residue_map``; None
@@ -395,46 +423,3 @@ class CycNum:
             text += " %s %s" % (sign, body)
         return text
 
-
-def _pdeg(p):
-    for i in range(len(p) - 1, -1, -1):
-        if p[i]:
-            return i
-    return -1
-
-
-def _ptrim(p):
-    d = _pdeg(p)
-    return p[: d + 1] if d >= 0 else []
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _ptrim(out)
-
-
-def _psub(a, b):
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return _ptrim([x - y for x, y in zip(a, b)])
-
-
-def _pdivmod(a, b):
-    a = list(a)
-    db = _pdeg(b)
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    lead = b[db]
-    for i in range(_pdeg(a) - db, -1, -1):
-        c = a[i + db] / lead
-        if c:
-            q[i] = c
-            for j in range(db + 1):
-                a[i + j] -= c * b[j]
-    return _ptrim(q), _ptrim(a)

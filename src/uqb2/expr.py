@@ -5,7 +5,7 @@ Grammar (largest-munch lexing, whitespace ignored):
     expr    := term (('+' | '-') term)*
     term    := factor (('*' | '/')? factor)*        # juxtaposition = '*'
     factor  := '-' factor | power
-    power   := primary ('^' ('-'? INT))?
+    power   := primary ('^' ('-'? INT))?      # |INT| <= MAX_EXPONENT
     primary := INT | IDENT | '(' expr ')'
     IDENT   := e1 | e2 | e3 | z | zt | z1 | zp | q
 
@@ -23,6 +23,11 @@ import re
 from . import structure
 
 IDENTIFIERS = ("e1", "e2", "e3", "z", "zt", "z1", "zp", "q")
+
+# Largest accepted |exponent| after '^'.  It covers e_i^(2l) at every
+# accepted order m (cyclotomic.MAX_ORDER) and keeps the work of one power
+# bounded.
+MAX_EXPONENT = 2000
 
 # known identifiers are matched longest-first so juxtaposed names split
 # ("e3e2" lexes as e3, e2); any other word is an unknown-identifier error
@@ -126,6 +131,8 @@ class _Parser:
                 kind, val, at = self.take()
             if kind != "int":
                 raise ParseError("exponent must be an integer", at)
+            if val > MAX_EXPONENT:
+                raise ParseError("exponent exceeds %d" % MAX_EXPONENT, at)
             return ("pow", base, sign * val)
         return base
 

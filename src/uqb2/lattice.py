@@ -148,10 +148,6 @@ def determinant(M):
     return sign * A[n - 1][n - 1]
 
 
-def invariant_factors(H):
-    return smith_normal_form(H).diag
-
-
 def pi_degree(H, m):
     """Polynomial-identity degree from the invariant factors of H.
 

@@ -26,9 +26,6 @@ from .cyclotomic import CycNum
 
 GENERATOR_NAMES = ("e1", "e2", "e3", "z")
 
-# position of each generator's exponent in the (i, j, k, n) tuple
-_EXP_INDEX = {"z": 0, "e3": 1, "e1": 2, "e2": 3}
-
 _GEN_MONOMIAL = {
     "z": (1, 0, 0, 0),
     "e3": (0, 1, 0, 0),

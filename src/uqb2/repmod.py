@@ -106,18 +106,20 @@ def build(ctx, params):
         e1 = zero(ctx, d)
         e3 = zero(ctx, d)
         zt = zero(ctx, d)
+        ainv = a.invert()
         for k in range(d):
             e1[k][(k + 1) % d] = a
             e3[k][k] = q(-2 * k) * b
-            zt[k][(k - 1) % d] = a.invert() * (dl + ctx.q_bracket(k, -4) * b * b)
+            zt[k][(k - 1) % d] = ainv * (dl + ctx.q_bracket(k, -4) * b * b)
         act = {"e1": e1, "e3": e3, "z": linalg.scalar_matrix(ctx, d, g), "zt": zt}
     elif family == "V2":
         e1 = zero(ctx, d)
         e3 = zero(ctx, d)
         zt = zero(ctx, d)
+        ainv = a.invert()
         for k in range(d):
             if k:
-                e1[k][k - 1] = a.invert() * b * b * (-ctx.q_bracket(k, 4))
+                e1[k][k - 1] = ainv * b * b * (-ctx.q_bracket(k, 4))
             e3[k][k] = q(2 * k) * b
             zt[k][(k + 1) % d] = a
         act = {"e1": e1, "e3": e3, "z": linalg.scalar_matrix(ctx, d, g), "zt": zt}
@@ -136,13 +138,13 @@ def build(ctx, params):
         e1 = zero(ctx, d)
         e2 = zero(ctx, d)
         e3 = zero(ctx, d)
-        binv = b.invert()
-        coef_z = -g * binv / (q(2) - 1)
+        ainv, binv = a.invert(), b.invert()
+        coef_z = -g * binv * (q(2) - 1).invert()
         for k in range(d):
             e1[k][(k + 1) % d] = a
             e3[k][k] = q(-2 * k) * b
             e2[k][(k - 1) % d] = (
-                a.invert() * (dl + ctx.q_bracket(k, -4) * b * b) * q(2 * (k - 1)) * binv
+                ainv * (dl + ctx.q_bracket(k, -4) * b * b) * q(2 * (k - 1)) * binv
             )
             e2[k][k] = e2[k][k] + coef_z * q(2 * k)
         act = {"e1": e1, "e2": e2, "e3": e3, "z": linalg.scalar_matrix(ctx, d, g)}
@@ -150,37 +152,39 @@ def build(ctx, params):
         e1 = zero(ctx, d)
         e2 = zero(ctx, d)
         e3 = zero(ctx, d)
-        binv = b.invert()
+        ainv, binv = a.invert(), b.invert()
+        coef_z = g * binv * (q(2) - 1).invert()
         for k in range(d):
             if k:
-                e1[k][k - 1] = a.invert() * b * b * (-ctx.q_bracket(k, 4))
+                e1[k][k - 1] = ainv * b * b * (-ctx.q_bracket(k, 4))
             e3[k][k] = q(2 * k) * b
             e2[k][(k + 1) % d] = a * binv * q(-2 * (k + 1))
-            e2[k][k] = e2[k][k] - g * binv * q(-2 * k) / (q(2) - 1)
+            e2[k][k] = e2[k][k] - coef_z * q(-2 * k)
         act = {"e1": e1, "e2": e2, "e3": e3, "z": linalg.scalar_matrix(ctx, d, g)}
     elif family == "V3p":
         e1 = zero(ctx, d)
         e2 = zero(ctx, d)
         e3 = zero(ctx, d)
         ainv = a.invert()
+        coef_z = b * ainv * (q(2) - 1).invert()
         for k in range(d):
             if k:
                 e1[k][k - 1] = a * a * (-ctx.q_bracket(k, 4))
             e3[k][k] = q(2 * k) * a
             if k != d - 1:
                 e2[k][k + 1] = ainv * q(-2 * (k + 1))
-            e2[k][k] = e2[k][k] - b * ainv * q(-2 * k) / (q(2) - 1)
+            e2[k][k] = e2[k][k] - coef_z * q(-2 * k)
         act = {"e1": e1, "e2": e2, "e3": e3, "z": linalg.scalar_matrix(ctx, d, b)}
     elif family == "V4p":
         e1 = zero(ctx, d)
         e2 = zero(ctx, d)
         e3 = zero(ctx, d)
-        den = (q(4) - 1) * (q(2) - 1)
+        den_inv = ((q(4) - 1) * (q(2) - 1)).invert()
         for k in range(d):
             e1[k][k] = b * q(-2 * k)
             if k >= 2:
                 e1[k][k - 2] = (
-                    -q(-2 * (k - 1)) * ((q(2 * k) - 1) * (q(2 * (k - 1)) - 1) / den) * a
+                    -q(-2 * (k - 1)) * ((q(2 * k) - 1) * (q(2 * (k - 1)) - 1) * den_inv) * a
                 )
             if k != d - 1:
                 e2[k][k + 1] = one

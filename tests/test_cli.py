@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from uqb2 import cli
+from uqb2 import cli, cyclotomic, expr
 
 
 def run_cli(capsys, *argv):
@@ -170,3 +170,30 @@ def test_every_subcommand_rejects_small_m(capsys, m):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out is None, argv
         assert err.startswith("error:") and err.count("\n") == 1, argv
+
+
+def test_order_above_the_cap_is_rejected_before_any_table(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a field table was built for a rejected m")
+
+    monkeypatch.setattr(cyclotomic.FieldContext, "__init__", refuse)
+    monkeypatch.setattr(cyclotomic, "cyclotomic_polynomial", refuse)
+    for m in (cyclotomic.MAX_ORDER + 1, 100000):
+        for argv in (["nf", "--m", str(m), "e1"], ["conformance", "--m", str(m)]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out is None, argv
+            assert err.startswith("error:") and err.count("\n") == 1, argv
+
+
+def test_order_at_the_cap_is_accepted(capsys):
+    code, out, _ = run_cli(capsys, "nf", "--m", str(cyclotomic.MAX_ORDER), "e2*e1")
+    assert code == 0 and len(out["terms"]) == 2
+
+
+def test_exponent_above_the_cap_is_a_parse_error(capsys):
+    for expression in ("e1^99999999999999999999", "q^-%d" % (expr.MAX_EXPONENT + 1)):
+        code, out, err = run_cli(capsys, "nf", "--m", "5", expression)
+        assert code == 2 and out is None, expression
+        assert "exponent exceeds" in err and err.count("\n") == 1, expression
+    code, out, _ = run_cli(capsys, "nf", "--m", "5", "e1^%d" % expr.MAX_EXPONENT)
+    assert code == 0 and out["terms"][0]["k"] == expr.MAX_EXPONENT

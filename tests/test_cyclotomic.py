@@ -74,17 +74,40 @@ def test_q_bracket_recurrence():
 
 
 def test_q_bracket_rejects_trivial_step():
-    ctx = field_init(6)
-    with pytest.raises(ValueError):
-        ctx.q_bracket(3, 6)
-    with pytest.raises(ValueError):
-        ctx.q_bracket(3, -12)
+    for m in range(5, 37):
+        ctx = field_init(m)
+        for step in (0, m, -m, -2 * m):
+            with pytest.raises(ValueError):
+                ctx.q_bracket(3, step)
 
 
 def test_invert_zero_rejected():
-    ctx = field_init(7)
-    with pytest.raises(ZeroDivisionError):
-        ctx.zero.invert()
+    for m in range(5, 37):
+        with pytest.raises(ZeroDivisionError):
+            field_init(m).zero.invert()
+
+
+@pytest.mark.parametrize("m", range(5, 37))
+def test_norm_inverse_on_large_random_scalars(m):
+    ctx = field_init(m)
+    rng = random.Random(1000 + m)
+    for _ in range(3):
+        nums = [rng.randrange(-2 ** 64, 2 ** 64) if rng.random() < 0.8 else 0
+                for _ in range(ctx.degree)]
+        nums[rng.randrange(ctx.degree)] = rng.randrange(1, 2 ** 64)
+        a = cyclotomic._make(ctx, nums, rng.randrange(2, 2 ** 64))
+        inv = a.invert()
+        assert a * inv == ctx.one
+        assert inv.invert() == a
+
+
+@pytest.mark.parametrize("m", range(5, 37))
+def test_q_bracket_matches_its_defining_quotient(m):
+    ctx = field_init(m)
+    for step in (1, -1, 2, -2, 3, 4, -4):
+        inv = (ctx.q_pow(step) - 1).invert()
+        for k in range(-2 * m, 2 * m + 1):
+            assert ctx.q_bracket(k, step) == (ctx.q_pow(step * k) - 1) * inv, (k, step)
 
 
 def _random_scalar(ctx, rng):

@@ -10,6 +10,7 @@ is deterministic and lossless.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -209,7 +210,11 @@ def cmd_conformance(args):
     return 0 if report["all_pass"] else 1
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built on first use and shared by every later call
+    (about 2 ms to build; ``parse_args`` returns a fresh namespace each time,
+    so callers share no state as long as none of them mutates the parser)."""
     parser = argparse.ArgumentParser(
         prog="uqb2",
         description="Exact verification workbench for the rank-two quantized "

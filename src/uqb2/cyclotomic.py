@@ -14,6 +14,15 @@ nontrivial conjugates of A (q -> q^j for 1 < j < m, gcd(j, m) = 1) and
 N = A * P is the norm, a rational integer (Cohen, GTM 138, section 4.3).
 The q-bracket [k] = (q^(sk) - 1)/(q^s - 1) is the geometric sum of q^(si),
 0 <= i < k, taken straight from the q-power table without any division.
+
+Most products in the PBW engine have an operand 1 or q^k (the relations
+only ever bring in powers of q), so multiplication recognises such a unit
+operand by its numerator vector and skips the convolution: 1*a is a, and
+q^k * A is the sum of A_t * q^(t+k) read off the q-power table, over the same
+denominator.  That needs no gcd: q^k is a unit of Z[q] and the power basis is
+a Z-basis of Z[q], so multiplying by it keeps the content of A.  -q^k is
+q^(k + m/2) for even m; for odd m it takes the general path.  Sums of two
+scalars with denominator 1 add their numerators without a gcd either.
 """
 
 from __future__ import annotations
@@ -174,6 +183,8 @@ class FieldContext:
             if top:
                 cur = [cur[i] + top * base[i] for i in range(d)]
         self._qpow = powers
+        # q^k row -> k, keyed by the rows themselves (no copies)
+        self._unit_exp = {row: k for k, row in enumerate(powers)}
 
         self.zero = CycNum(self, (0,) * d, 1)
         self.one = CycNum(self, self._qpow[0], 1)
@@ -245,6 +256,24 @@ def _mul_int(ctx, a, b):
     return out
 
 
+def _substitute(ctx, A, j, k):
+    """Integer vector of q^k * sigma_j(A), where sigma_j sends q to q^j: the
+    sum of A_t * q^(j*t + k), read off the q-power table."""
+    m, d, qpow = ctx.m, ctx.degree, ctx._qpow
+    out = [0] * d
+    s = k % m  # j*t + k mod m, for t = 0, 1, ...
+    for x in A:
+        if x:
+            if s < d:  # q^s is a basis vector
+                out[s] += x
+            else:
+                for i, y in enumerate(qpow[s]):
+                    if y:
+                        out[i] += x * y
+        s = (s + j) % m
+    return out
+
+
 def _make(ctx, nums, den):
     if den < 0:
         den = -den
@@ -294,6 +323,8 @@ class CycNum:
         if o is None:
             return NotImplemented
         d1, d2 = self.den, o.den
+        if d1 == d2 == 1:
+            return CycNum(self.ctx, tuple([a + b for a, b in zip(self.num, o.num)]), 1)
         nums = [a * d2 + b * d1 for a, b in zip(self.num, o.num)]
         return _make(self.ctx, nums, d1 * d2)
 
@@ -307,6 +338,8 @@ class CycNum:
         if o is None:
             return NotImplemented
         d1, d2 = self.den, o.den
+        if d1 == d2 == 1:
+            return CycNum(self.ctx, tuple([a - b for a, b in zip(self.num, o.num)]), 1)
         nums = [a * d2 - b * d1 for a, b in zip(self.num, o.num)]
         return _make(self.ctx, nums, d1 * d2)
 
@@ -320,7 +353,17 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _make(self.ctx, _mul_int(self.ctx, self.num, o.num), self.den * o.den)
+        # an operand q^k is a unit: shift the other one a, which stays canonical
+        units = self.ctx._unit_exp
+        k = units.get(o.num) if o.den == 1 else None
+        a = self
+        if k is None and self.den == 1:
+            k, a = units.get(self.num), o
+        if k is None:
+            return _make(self.ctx, _mul_int(self.ctx, self.num, o.num), self.den * o.den)
+        if k == 0:
+            return a
+        return CycNum(self.ctx, tuple(_substitute(self.ctx, a.num, 1, k)), a.den)
 
     __rmul__ = __mul__
 
@@ -335,18 +378,8 @@ class CycNum:
         if self.is_zero():
             raise ZeroDivisionError("cannot invert zero")
         ctx = self.ctx
-        m, d, qpow, A = ctx.m, ctx.degree, ctx._qpow, self.num
-        factors = []
-        for j in range(2, m):
-            if math.gcd(j, m) != 1:
-                continue
-            conj = [0] * d
-            for i, x in enumerate(A):
-                if x:
-                    for t, y in enumerate(qpow[i * j % m]):
-                        if y:
-                            conj[t] += x * y
-            factors.append(conj)
+        m, A = ctx.m, self.num
+        factors = [_substitute(ctx, A, j, 0) for j in range(2, m) if math.gcd(j, m) == 1]
         # pairwise, so that the two operands of a product have similar sizes
         while len(factors) > 1:
             factors = [_mul_int(ctx, *factors[i:i + 2]) if i + 1 < len(factors)
@@ -402,6 +435,8 @@ class CycNum:
         return hash((self.ctx.m, self.num, self.den))
 
     def __repr__(self):
+        """The scalar in the grammar of ``uqb2.expr``, as a polynomial in q on
+        the power basis; parsing the text back gives the same scalar."""
         if self.is_zero():
             return "0"
         parts = []

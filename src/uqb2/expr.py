@@ -7,7 +7,10 @@ Grammar (largest-munch lexing, whitespace ignored):
     factor  := '-' factor | power
     power   := primary ('^' ('-'? INT))?      # |INT| <= MAX_EXPONENT
     primary := INT | IDENT | '(' expr ')'
-    IDENT   := e1 | e2 | e3 | z | zt | z1 | zp | q
+    IDENT   := e1 | e2 | e3 | z | zt | z1 | zp | q    # never followed by a digit
+
+An identifier directly followed by a digit is one unknown word, so "e12" and
+"q2" are errors; "e1 2", "e1*2" and "2e1" are products and "e3e2" is e3*e2.
 
 '^' binds tighter than '*' and '/', which bind tighter than '+' and '-';
 products associate to the left.  Negative exponents and division require the
@@ -30,8 +33,9 @@ IDENTIFIERS = ("e1", "e2", "e3", "z", "zt", "z1", "zp", "q")
 MAX_EXPONENT = 2000
 
 # known identifiers are matched longest-first so juxtaposed names split
-# ("e3e2" lexes as e3, e2); any other word is an unknown-identifier error
-_TOKEN = re.compile(r"\s*(?:(\d+)|(e1|e2|e3|zt|zp|z1|z|q)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()]))")
+# ("e3e2" lexes as e3, e2), but never before a digit, where the split would
+# be a guess ("e12"); any other word is an unknown-identifier error
+_TOKEN = re.compile(r"\s*(?:(\d+)|(e1|e2|e3|zt|zp|z1|z|q)(?!\d)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()]))")
 
 
 class ParseError(ValueError):
@@ -201,30 +205,6 @@ def eval_scalar(src, ctx):
     return evaluate(parse(src), PBWAlgebra(ctx)).as_scalar()
 
 
-def scalar_to_src(c):
-    """Render a field scalar in the grammar (power-basis polynomial in q)."""
-    parts = []
-    for t, f in enumerate(c.coeffs):
-        if not f:
-            continue
-        mag = abs(f)
-        var = "" if t == 0 else ("q" if t == 1 else "q^%d" % t)
-        if var and mag == 1:
-            body = var
-        elif var:
-            body = "%s*%s" % (mag, var)
-        else:
-            body = str(mag)
-        parts.append((f < 0, body))
-    if not parts:
-        return "0"
-    neg, body = parts[0]
-    out = ("-" if neg else "") + body
-    for neg, body in parts[1:]:
-        out += (" - " if neg else " + ") + body
-    return out
-
-
 def to_src(element):
     """Render a PBW element in the grammar; parse(to_src(x)) evaluates back to x."""
     if not element.terms:
@@ -237,7 +217,7 @@ def to_src(element):
             for name, e in (("z", i), ("e3", j), ("e1", k), ("e2", n))
             if e
         )
-        coeff = scalar_to_src(element.terms[key])
+        coeff = repr(element.terms[key])
         if mono:
             chunks.append("(%s)*%s" % (coeff, mono))
         else:

@@ -151,6 +151,42 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+def test_digit_glued_to_a_name_is_a_usage_error(capsys):
+    for expression, word in (("e12", "e12"), ("q2*e1", "q2"), ("e1 + z12", "z12")):
+        code, out, err = run_cli(capsys, "nf", "--m", "5", expression)
+        assert code == 2 and out is None, expression
+        assert "unknown identifier %r" % word in err and err.count("\n") == 1, expression
+    code, out, _ = run_cli(capsys, "nf", "--m", "5", "e1 2")
+    assert code == 0 and out["terms"] == [
+        {"i": 0, "j": 0, "k": 1, "n": 0, "coeff": ["2", "0", "0", "0"]}
+    ]
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    calls = (
+        ["nf", "--m", "7", "e2^2*e1"],
+        ["nf", "--m", "five", "e1"],  # argparse rejects it: exit 2
+        ["central", "--m", "7", "e1^7"],
+    )
+
+    def outputs():
+        seen = []
+        for argv in calls:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            seen.append((code, captured.out, captured.err))
+        return seen
+
+    shared = outputs()
+    assert [code for code, _, _ in shared] == [0, 2, 0]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert outputs() == shared
+
+
 def test_arithmetic_error_is_a_usage_error(capsys):
     for expression in ("1/0", "e1*(q-q)^-1"):
         code, out, err = run_cli(capsys, "nf", "--m", "5", expression)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -108,6 +109,50 @@ def test_q_bracket_matches_its_defining_quotient(m):
         inv = (ctx.q_pow(step) - 1).invert()
         for k in range(-2 * m, 2 * m + 1):
             assert ctx.q_bracket(k, step) == (ctx.q_pow(step * k) - 1) * inv, (k, step)
+
+
+def _assert_canonical(c):
+    assert c.den > 0 and math.gcd(c.den, *c.num) == 1
+
+
+def _large_random_scalars(ctx, rng):
+    """Zero, +-1, and integral and fractional scalars with numerators up to 2^64."""
+    d = ctx.degree
+    out = [ctx.zero, ctx.one, -ctx.one]
+    for _ in range(4):
+        nums = [rng.randrange(-2 ** 64, 2 ** 64) if rng.random() < 0.7 else 0 for _ in range(d)]
+        out.append(cyclotomic._make(ctx, nums, 1))
+        out.append(cyclotomic._make(ctx, nums, rng.randrange(2, 2 ** 64)))
+        out.append(cyclotomic._make(ctx, [rng.randrange(-9, 10) for _ in range(d)], rng.randrange(1, 6)))
+    return out
+
+
+@pytest.mark.parametrize("m", range(5, 37))
+def test_unit_products_match_the_general_product(m):
+    ctx = field_init(m)
+    rng = random.Random(2000 + m)
+    for a in _large_random_scalars(ctx, rng):
+        for k in range(m):
+            for u in (ctx.q_pow(k), -ctx.q_pow(k)):
+                general = cyclotomic._make(ctx, cyclotomic._mul_int(ctx, a.num, u.num), a.den * u.den)
+                for c in (a * u, u * a):
+                    assert (c.num, c.den) == (general.num, general.den), (a, k)
+                    _assert_canonical(c)
+
+
+@pytest.mark.parametrize("m", range(5, 37))
+def test_integral_sums_match_the_general_sum(m):
+    ctx = field_init(m)
+    rng = random.Random(3000 + m)
+    integral = [a for a in _large_random_scalars(ctx, rng) if a.den == 1]
+    integral += [ctx.q_pow(k) for k in range(m)] + [-ctx.q_pow(k) for k in range(m)]
+    for a in integral:
+        for b in rng.sample(integral, 8) + [a, -a]:
+            for c, nums in ((a + b, [x + y for x, y in zip(a.num, b.num)]),
+                            (a - b, [x - y for x, y in zip(a.num, b.num)])):
+                general = cyclotomic._make(ctx, nums, 1)
+                assert (c.num, c.den) == (general.num, general.den)
+                _assert_canonical(c)
 
 
 def _random_scalar(ctx, rng):

@@ -40,6 +40,11 @@ def test_precedence_and_juxtaposition(algebra_factory):
     assert expr.evaluate("2e3", alg) == 2 * e3
     assert expr.evaluate("-q*e1", alg) == -(ctx.q * e1)
     assert expr.evaluate("e1 - e2 - e3", alg) == (e1 - e2) - e3
+    # a digit separated from a name, or leading it, is a factor
+    for src in ("e1 2", "e1*2", "2e1"):
+        assert expr.evaluate(src, alg) == 2 * e1, src
+    assert expr.evaluate("e3e2", alg) == e3 * e2
+    assert expr.evaluate("z1", alg) == structure.named(alg, "z_one")
 
 
 def test_parse_errors_carry_position():
@@ -49,6 +54,12 @@ def test_parse_errors_carry_position():
         "(e1": 3,
         "e1 @ e2": 3,
         "foo": 0,
+        # no name may be followed directly by a digit
+        "e12": 0,
+        "q2": 0,
+        "e1 + e12": 5,
+        "3*z12": 2,
+        "e3e21": 2,
     }
     for src, pos in cases.items():
         with pytest.raises(expr.ParseError) as err:
@@ -80,6 +91,25 @@ def test_round_trip_random_elements(algebra_factory):
             c = ctx.q_pow(rng.randrange(5)) * ctx.from_fraction(
                 Fraction(rng.randrange(-6, 7), rng.randrange(1, 4))
             )
+            terms[key] = c
+        x = alg.element(terms)
+        assert expr.evaluate(expr.to_src(x), alg) == x
+
+
+@pytest.mark.parametrize("m", [5, 8, 12, 30])
+def test_round_trip_random_elements_at_several_orders(algebra_factory, m):
+    alg = algebra_factory(m)
+    ctx = alg.ctx
+    rng = random.Random(100 + m)
+    for _ in range(30):
+        terms = {}
+        for _ in range(rng.randrange(1, 5)):
+            key = tuple(rng.randrange(4) for _ in range(4))
+            c = ctx.zero
+            for _ in range(rng.randrange(1, 4)):
+                c = c + ctx.q_pow(rng.randrange(m)) * ctx.from_fraction(
+                    Fraction(rng.randrange(-50, 51), rng.randrange(1, 40))
+                )
             terms[key] = c
         x = alg.element(terms)
         assert expr.evaluate(expr.to_src(x), alg) == x

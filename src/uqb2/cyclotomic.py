@@ -21,8 +21,7 @@ operand by its numerator vector and skips the convolution: 1*a is a, and
 q^k * A is the sum of A_t * q^(t+k) read off the q-power table, over the same
 denominator.  That needs no gcd: q^k is a unit of Z[q] and the power basis is
 a Z-basis of Z[q], so multiplying by it keeps the content of A.  -q^k is
-q^(k + m/2) for even m; for odd m it takes the general path.  Sums of two
-scalars with denominator 1 add their numerators without a gcd either.
+q^(k + m/2) for even m; for odd m it takes the general path.
 """
 
 from __future__ import annotations
@@ -323,8 +322,6 @@ class CycNum:
         if o is None:
             return NotImplemented
         d1, d2 = self.den, o.den
-        if d1 == d2 == 1:
-            return CycNum(self.ctx, tuple([a + b for a, b in zip(self.num, o.num)]), 1)
         nums = [a * d2 + b * d1 for a, b in zip(self.num, o.num)]
         return _make(self.ctx, nums, d1 * d2)
 
@@ -338,8 +335,6 @@ class CycNum:
         if o is None:
             return NotImplemented
         d1, d2 = self.den, o.den
-        if d1 == d2 == 1:
-            return CycNum(self.ctx, tuple([a - b for a, b in zip(self.num, o.num)]), 1)
         nums = [a * d2 - b * d1 for a, b in zip(self.num, o.num)]
         return _make(self.ctx, nums, d1 * d2)
 

@@ -34,8 +34,11 @@ MAX_EXPONENT = 2000
 
 # known identifiers are matched longest-first so juxtaposed names split
 # ("e3e2" lexes as e3, e2), but never before a digit, where the split would
-# be a guess ("e12"); any other word is an unknown-identifier error
-_TOKEN = re.compile(r"\s*(?:(\d+)|(e1|e2|e3|zt|zp|z1|z|q)(?!\d)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()]))")
+# be a guess ("e12"); "z" never matches the head of zt, zp or z1, so "zt2"
+# cannot fall back to z and is unknown as a whole, like any other word
+_TOKEN = re.compile(
+    r"\s*(?:(\d+)|(e1|e2|e3|zt|zp|z1|z(?![tp1])|q)(?!\d)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()]))"
+)
 
 
 class ParseError(ValueError):

@@ -152,7 +152,7 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_digit_glued_to_a_name_is_a_usage_error(capsys):
-    for expression, word in (("e12", "e12"), ("q2*e1", "q2"), ("e1 + z12", "z12")):
+    for expression, word in (("e12", "e12"), ("q2*e1", "q2"), ("e1 + z12", "z12"), ("zt2", "zt2")):
         code, out, err = run_cli(capsys, "nf", "--m", "5", expression)
         assert code == 2 and out is None, expression
         assert "unknown identifier %r" % word in err and err.count("\n") == 1, expression

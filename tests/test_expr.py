@@ -60,6 +60,9 @@ def test_parse_errors_carry_position():
         "e1 + e12": 5,
         "3*z12": 2,
         "e3e21": 2,
+        "zt2": 0,
+        "zp2": 0,
+        "e1 zt12": 3,
     }
     for src, pos in cases.items():
         with pytest.raises(expr.ParseError) as err:

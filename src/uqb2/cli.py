@@ -23,11 +23,13 @@ def scalar_json(c):
     return [str(f) for f in c.coeffs]
 
 
+def term_json(key, coeff):
+    i, j, k, n = key
+    return {"i": i, "j": j, "k": k, "n": n, "coeff": scalar_json(coeff)}
+
+
 def element_json(x):
-    return [
-        {"i": i, "j": j, "k": k, "n": n, "coeff": scalar_json(x.terms[(i, j, k, n)])}
-        for (i, j, k, n) in sorted(x.terms)
-    ]
+    return [term_json(key, x.terms[key]) for key in sorted(x.terms)]
 
 
 def matrix_json(M):
@@ -71,18 +73,10 @@ def cmd_nf(args):
 def cmd_central(args):
     ctx = field_init(args.m)
     alg = PBWAlgebra(ctx)
-    x = expr.evaluate(args.expr, alg)
-    witness = None
-    for gname in ("e1", "e2"):
-        c = alg.commutator(x, alg.generator(gname))
-        if c:
-            key = sorted(c.terms)[0]
-            witness = {
-                "against": gname,
-                "i": key[0], "j": key[1], "k": key[2], "n": key[3],
-                "coeff": scalar_json(c.terms[key]),
-            }
-            break
+    witness = structure.first_commutator_witness(alg, expr.evaluate(args.expr, alg))
+    if witness is not None:
+        gname, key, coeff = witness
+        witness = {"against": gname, **term_json(key, coeff)}
     _emit({"m": args.m, "expr": args.expr, "central": witness is None, "witness": witness})
     return 0
 

@@ -210,19 +210,4 @@ def eval_scalar(src, ctx):
 
 def to_src(element):
     """Render a PBW element in the grammar; parse(to_src(x)) evaluates back to x."""
-    if not element.terms:
-        return "0"
-    chunks = []
-    for key in sorted(element.terms):
-        i, j, k, n = key
-        mono = "*".join(
-            name + ("" if e == 1 else "^%d" % e)
-            for name, e in (("z", i), ("e3", j), ("e1", k), ("e2", n))
-            if e
-        )
-        coeff = repr(element.terms[key])
-        if mono:
-            chunks.append("(%s)*%s" % (coeff, mono))
-        else:
-            chunks.append(coeff)
-    return " + ".join(chunks)
+    return repr(element)

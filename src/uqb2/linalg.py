@@ -90,27 +90,11 @@ def scalar_of(a):
 
 
 def mat_rank(a):
-    """Rank by exact Gaussian elimination (the input is not modified)."""
-    rows = [list(r) for r in a]
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].invert()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                c = rows[r][col]
-                rows[r] = [x - c * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+    """Rank by exact elimination of the rows in a ``SparseEchelon``."""
+    ech = SparseEchelon()
+    for row in a:
+        ech.insert({j: c for j, c in enumerate(row) if c})
+    return len(ech)
 
 
 def is_invertible(a):

@@ -9,6 +9,9 @@ The algebra is generated by e1, e2, e3 and z subject to
 
 and the ordered monomials z^i e3^j e1^k e2^n form a linear basis.  Elements
 are sparse maps from exponent tuples (i, j, k, n) to nonzero field scalars.
+Their sums, scalar multiples, powers, equality and printing are defined once,
+in ``SparseElement``, which the quantum torus elements of ``uqb2.torus``
+share; only the product differs between the two.
 
 Products are normal-formed by repeated single-step swaps of out-of-order
 adjacent generator pairs, using exactly the relations above.  The two
@@ -26,21 +29,22 @@ from .cyclotomic import CycNum
 
 GENERATOR_NAMES = ("e1", "e2", "e3", "z")
 
-_GEN_MONOMIAL = {
-    "z": (1, 0, 0, 0),
-    "e3": (0, 1, 0, 0),
-    "e1": (0, 0, 1, 0),
-    "e2": (0, 0, 0, 1),
-}
-
 _UNIT = (0, 0, 0, 0)
+
+# the operand types that act on elements as field scalars
+_SCALARS = (int, Fraction, CycNum)
 
 
 class PBWAlgebra:
     """Rewriting engine over a fixed cyclotomic field context."""
 
+    # the letters of a basis monomial, in the order of its exponent tuple
+    NAMES = ("z", "e3", "e1", "e2")
+
     def __init__(self, ctx):
         self.ctx = ctx
+        # elements combine only within one field
+        self.key = ctx.m
         one = ctx.one
         # e2 * e3^j and e2 * e1^k, grown on demand by one swap at a time
         self._b1 = [{(0, 0, 0, 1): one}]
@@ -67,9 +71,9 @@ class PBWAlgebra:
         return PBWElement(self, {_UNIT: self.ctx.one})
 
     def generator(self, name):
-        if name not in _GEN_MONOMIAL:
+        if name not in self.NAMES:
             raise ValueError("unknown generator %r" % (name,))
-        return PBWElement(self, {_GEN_MONOMIAL[name]: self.ctx.one})
+        return PBWElement(self, {tuple(int(a == name) for a in self.NAMES): self.ctx.one})
 
     def generators(self):
         """The tuple (e1, e2, e3, z)."""
@@ -192,12 +196,7 @@ class PBWAlgebra:
         return PBWElement(self, {k: v for k, v in out.items() if v})
 
     def power(self, x, n):
-        if n < 0:
-            raise ValueError("exponent must be nonnegative")
-        result = self.unit()
-        for _ in range(n):
-            result = self.mul(result, x)
-        return result
+        return x ** n
 
     # -- derived operations ------------------------------------------------------
 
@@ -273,8 +272,14 @@ class PBWAlgebra:
         return lhs - rhs
 
 
-class PBWElement:
-    """A finite sum of basis monomials z^i e3^j e1^k e2^n; immutable."""
+class SparseElement:
+    """A finite sum of monomials with nonzero field coefficients; immutable.
+
+    ``terms`` maps exponent tuples, one exponent per letter of ``alg.NAMES``,
+    to scalars.  The arithmetic here is shared by every algebra; each algebra
+    supplies only its product ``mul``, its ``scalar`` and ``unit`` elements,
+    and ``key``: operands of one kind combine only when their keys agree.
+    """
 
     __slots__ = ("alg", "terms")
 
@@ -288,20 +293,13 @@ class PBWElement:
     def __bool__(self):
         return bool(self.terms)
 
-    def as_scalar(self):
-        """The field scalar this element equals, if it is one."""
-        if not self.terms:
-            return self.alg.ctx.zero
-        if len(self.terms) == 1 and _UNIT in self.terms:
-            return self.terms[_UNIT]
-        raise ValueError("element is not a scalar")
-
     def _coerce(self, other):
-        if isinstance(other, PBWElement):
-            if other.alg.ctx.m != self.alg.ctx.m:
+        # the other operand as an element of this algebra, or None
+        if isinstance(other, type(self)):
+            if other.alg is not self.alg and other.alg.key != self.alg.key:
                 raise ValueError("operands belong to different algebras")
             return other
-        if isinstance(other, (int, Fraction, CycNum)):
+        if isinstance(other, _SCALARS):
             return self.alg.scalar(other)
         return None
 
@@ -317,12 +315,12 @@ class PBWElement:
                 out[key] = s
             elif acc is not None:
                 del out[key]
-        return PBWElement(self.alg, out)
+        return type(self)(self.alg, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PBWElement(self.alg, {k: -v for k, v in self.terms.items()})
+        return type(self)(self.alg, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -337,54 +335,72 @@ class PBWElement:
         return o + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, PBWElement):
-            return self.alg.mul(self, other)
-        if not isinstance(other, (int, Fraction, CycNum)):
-            return NotImplemented
+        if not isinstance(other, _SCALARS):
+            o = self._coerce(other)
+            return NotImplemented if o is None else self.alg.mul(self, o)
         c = self.alg.ctx.scalar(other)
         if not c:
-            return PBWElement(self.alg, {})
-        return PBWElement(self.alg, {k: v * c for k, v in self.terms.items()})
+            return type(self)(self.alg, {})
+        return type(self)(self.alg, {k: v * c for k, v in self.terms.items()})
 
-    def __rmul__(self, other):
-        # scalars commute with everything, so this is the same product
-        return self.__mul__(other)
+    # only a scalar reaches here from the left, and scalars commute with
+    # everything, so this is the same product
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if not isinstance(other, (int, Fraction, CycNum)):
+        if not isinstance(other, _SCALARS):
             return NotImplemented
         return self * self.alg.ctx.scalar(other).invert()
 
     def __pow__(self, n):
+        # a linear loop: square-and-multiply was measured slower here, since
+        # squaring multiplies two large sums where this multiplies by x
         if not isinstance(n, int):
             return NotImplemented
-        return self.alg.power(self, n)
+        if n < 0:
+            raise ValueError("exponent must be nonnegative")
+        out = self.alg.unit()
+        for _ in range(n):
+            out = self.alg.mul(out, self)
+        return out
 
     def __eq__(self, other):
-        if not isinstance(other, PBWElement):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        return self.alg.ctx.m == other.alg.ctx.m and self.terms == other.terms
+        return self.alg.key == other.alg.key and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.alg.ctx.m, frozenset(self.terms.items())))
+        return hash((self.alg.key, frozenset(self.terms.items())))
 
     def __repr__(self):
+        """The element in the grammar of ``uqb2.expr``: bracketed coefficient
+        times monomial, the constant term bare, in increasing key order."""
         if not self.terms:
             return "0"
         parts = []
         for key in sorted(self.terms):
-            i, j, k, n = key
             mono = "*".join(
                 name + ("" if e == 1 else "^%d" % e)
-                for name, e in (("z", i), ("e3", j), ("e1", k), ("e2", n))
+                for name, e in zip(self.alg.NAMES, key)
                 if e
             )
             co = repr(self.terms[key])
-            if mono:
-                parts.append("(%s)*%s" % (co, mono))
-            else:
-                parts.append("(%s)" % co)
+            parts.append("(%s)*%s" % (co, mono) if mono else co)
         return " + ".join(parts)
+
+
+class PBWElement(SparseElement):
+    """A finite sum of basis monomials z^i e3^j e1^k e2^n; immutable."""
+
+    __slots__ = ()
+
+    def as_scalar(self):
+        """The field scalar this element equals, if it is one."""
+        if not self.terms:
+            return self.alg.ctx.zero
+        if len(self.terms) == 1 and _UNIT in self.terms:
+            return self.terms[_UNIT]
+        raise ValueError("element is not a scalar")
 
 
 def graded_key(monomial):

@@ -356,9 +356,9 @@ def act_matrix(rep, element):
     ctx = rep.ctx
     d = rep.dim
     out = linalg.zero_matrix(ctx, d)
-    for (i, j, k, n), co in element.terms.items():
+    for key, co in element.terms.items():
         M = linalg.identity(ctx, d)
-        for gname, e in (("z", i), ("e3", j), ("e1", k), ("e2", n)):
+        for gname, e in zip(element.alg.NAMES, key):
             for _ in range(e):
                 M = linalg.mat_mul(M, rep.act[gname])
         out = linalg.mat_add(out, linalg.mat_scale(M, co))

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 NAMED = ("e3_as_commutator", "z_as_commutator", "z_tilde", "z_one", "z_prime")
 
-_EXP_INDEX = {"z": 0, "e3": 1, "e1": 2, "e2": 3}
-
 
 def named(alg, name):
     """PBW normal form of one of the distinguished elements."""
@@ -73,8 +71,7 @@ def gwa_condition(alg, rho, alpha, b, sigma_spec):
     sigma_terms = {}
     for key, co in alpha.terms.items():
         factor = ctx.one
-        for gname, idx in _EXP_INDEX.items():
-            e = key[idx]
+        for gname, e in zip(alg.NAMES, key):
             if not e:
                 continue
             if gname not in sigma_spec:
@@ -131,12 +128,16 @@ def subalgebra_central_residuals(alg, x):
 
 
 def first_commutator_witness(alg, x):
-    """The first nonzero commutator of x against e1 or e2, if any."""
+    """The first nonzero commutator of x against e1 or e2, if any.
+
+    Returns (generator name, least monomial of the commutator, its
+    coefficient), or None when x is central.
+    """
     for gname in ("e1", "e2"):
         c = alg.commutator(x, alg.generator(gname))
         if c:
-            key = sorted(c.terms)[0]
-            return {"against": gname, "monomial": key, "coeff": repr(c.terms[key])}
+            key = min(c.terms)
+            return gname, key, c.terms[key]
     return None
 
 
@@ -171,8 +172,8 @@ def center_report(alg):
         ("zt^l", alg.power(zt, l)),
     ):
         sub[label] = all(r.is_zero() for r in subalgebra_central_residuals(alg, x).values())
-    return {
-        "central": full,
-        "zp_witness": first_commutator_witness(alg, named(alg, "z_prime")),
-        "subalgebra_central": sub,
-    }
+    witness = first_commutator_witness(alg, named(alg, "z_prime"))
+    if witness is not None:
+        gname, key, coeff = witness
+        witness = {"against": gname, "monomial": key, "coeff": repr(coeff)}
+    return {"central": full, "zp_witness": witness, "subalgebra_central": sub}

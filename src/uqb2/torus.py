@@ -3,7 +3,9 @@
 A QCommAlgebra is a (Laurent) polynomial ring whose generators q-commute:
 X_a X_b = q^(H[a][b]) X_b X_a for an antisymmetric integer matrix H.  The
 normal form orders generators by index; multiplying two normal monomials
-picks up q to the pairing of their exponent vectors under H.
+picks up q to the pairing of their exponent vectors under H.  Elements are
+``pbw.SparseElement`` maps from exponent tuples to scalars, like PBW
+elements: this module supplies only their product.
 
 ``verify_embedding`` realizes the four-generator algebra inside a rank-4
 torus and checks that the images of all defining relations (including both
@@ -16,9 +18,7 @@ the relation list
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .cyclotomic import CycNum
+from .pbw import SparseElement
 
 TORUS_COMMUTATION = (
     (0, -2, 0, 2),
@@ -51,6 +51,9 @@ class QCommAlgebra:
         self.rank = rank
         self.skew = tuple(tuple(row) for row in skew)
         self.laurent = laurent
+        # elements combine only within one field and one commutation matrix
+        self.key = (ctx.m, self.skew)
+        self.NAMES = tuple("X%d" % (a + 1) for a in range(rank))
 
     def element(self, terms):
         clean = {}
@@ -70,6 +73,9 @@ class QCommAlgebra:
 
     def unit(self):
         return self.monomial((0,) * self.rank)
+
+    def scalar(self, c):
+        return self.monomial((0,) * self.rank, c)
 
     def monomial(self, exps, coeff=1):
         return self.element({tuple(exps): coeff})
@@ -114,102 +120,10 @@ class QCommAlgebra:
         return all(not (self.mul(x, g) - self.mul(g, x)) for g in map(self.gen, range(self.rank)))
 
 
-class LaurentElement:
+class LaurentElement(SparseElement):
     """Sparse q-commuting (Laurent) polynomial in normal-ordered form."""
 
-    __slots__ = ("alg", "terms")
-
-    def __init__(self, alg, terms):
-        self.alg = alg
-        self.terms = terms
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def _coerce(self, other):
-        if isinstance(other, LaurentElement):
-            if other.alg is not self.alg and (
-                other.alg.skew != self.alg.skew or other.alg.ctx.m != self.alg.ctx.m
-            ):
-                raise ValueError("operands belong to different algebras")
-            return other
-        if isinstance(other, (int, Fraction, CycNum)):
-            return self.alg.element({(0,) * self.alg.rank: other})
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for key, co in o.terms.items():
-            acc = out.get(key)
-            s = co if acc is None else acc + co
-            if s:
-                out[key] = s
-            elif acc is not None:
-                del out[key]
-        return LaurentElement(self.alg, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentElement(self.alg, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, LaurentElement):
-            return self.alg.mul(self, other)
-        if not isinstance(other, (int, Fraction, CycNum)):
-            return NotImplemented
-        c = self.alg.ctx.scalar(other)
-        if not c:
-            return LaurentElement(self.alg, {})
-        return LaurentElement(self.alg, {k: v * c for k, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = self.alg.unit()
-        for _ in range(n):
-            out = self.alg.mul(out, self)
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentElement):
-            return NotImplemented
-        return self.alg.ctx.m == other.alg.ctx.m and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.alg.ctx.m, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        names = ["X%d" % (i + 1) for i in range(self.alg.rank)]
-        parts = []
-        for key in sorted(self.terms):
-            mono = "*".join(
-                n + ("" if e == 1 else "^%d" % e) for n, e in zip(names, key) if e
-            )
-            parts.append("(%r)*%s" % (self.terms[key], mono) if mono else "(%r)" % self.terms[key])
-        return " + ".join(parts)
+    __slots__ = ()
 
 
 def quantum_torus(ctx):

@@ -33,6 +33,8 @@ CORPUS = {
     "nf_m9_quotient": ["nf", "--m", "9", "e1^2*e2/(q^3 - q + 2) + zt/(1 - q^4)"],
     "central_m5_e1pow": ["central", "--m", "5", "e1^5"],
     "central_m8_commutator": ["central", "--m", "8", "e1*e2 - q^-2*e2*e1"],
+    "center_report_m5": ["center-report", "--m", "5"],
+    "center_report_m8": ["center-report", "--m", "8"],
     "simple_m7_V1p": ["simple", "--m", "7", "--family", "V1p",
                       "--params", "1,q^-2,1/(q+2),0"],
     "simple_m8_V4p": ["simple", "--m", "8", "--family", "V4p", "--params", "2,1/q,0"],

@@ -1,9 +1,9 @@
 """Byte-for-byte comparison with the golden corpus in ``tests/golden``.
 
 The corpus is CLI output frozen by ``tests/golden/capture.py``: the
-conformance ledger at m in {5, 7, 8, 12} and a set of ``nf``, ``central``,
-``simple``, ``iso``, ``character`` and ``build-module`` commands, including
-division and negative exponents.  Scalars print canonically, so any change
+conformance ledger at m in {5, 7, 8, 12}, ``center-report`` at m in {5, 8}
+and a set of ``nf``, ``central``, ``simple``, ``iso``, ``character`` and
+``build-module`` commands, including division and negative exponents.  Scalars print canonically, so any change
 to the arithmetic that alters a single value shows up here.
 """
 

@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from uqb2 import expr, torus
 from uqb2.pbw import graded_key, leading_monomial
 
 
@@ -177,3 +179,68 @@ def test_as_scalar(algebra_factory):
     assert alg.zero().as_scalar().is_zero()
     with pytest.raises(ValueError):
         alg.generator("e1").as_scalar()
+
+
+def _element_sample(kind, m, algebra_factory, context_factory):
+    """(algebra, element, same algebra at another order, another algebra of the
+    same kind and order); the element has a constant term."""
+    ctx = context_factory(m)
+    q = ctx.q
+    if kind == "pbw":
+        alg = algebra_factory(m)
+        x = alg.element({(0, 0, 0, 0): Fraction(2, 3), (1, 0, 2, 1): q, (0, 1, 0, 0): 1 - q * q * q})
+        return alg, x, algebra_factory(7 if m != 7 else 8), None
+    T = torus.quantum_torus(ctx)
+    x = T.element({(0, 0, 0, 0): Fraction(2, 3), (1, -1, 0, 2): q, (0, 1, 1, 0): 1 - q * q * q})
+    other_m = torus.quantum_torus(context_factory(7 if m != 7 else 8))
+    return T, x, other_m, torus.quantum_affine_space(ctx)
+
+
+@pytest.mark.parametrize("kind,m", [("pbw", 5), ("pbw", 8), ("pbw", 12), ("torus", 5), ("torus", 8)])
+def test_element_arithmetic(kind, m, algebra_factory, context_factory):
+    alg, x, other_m, other_skew = _element_sample(kind, m, algebra_factory, context_factory)
+    ctx = alg.ctx
+    for c in (3, Fraction(-2, 5), ctx.q_pow(3) + 1):
+        s = alg.scalar(c)
+        assert x + c == c + x == x + s
+        assert x - c == -(c - x) == x - s
+        assert (x + c) - c == x
+        assert x * c == c * x == x * s == s * x
+        assert (x * c) / c == x
+        assert x / c == x * ctx.scalar(c).invert()
+    assert -(-x) == x and (x - x).is_zero() and not (x - x)
+    assert x * 0 == alg.zero()
+
+    assert x ** 0 == alg.unit()
+    assert x ** 1 == x
+    assert x ** 3 == x * x * x
+    with pytest.raises(ValueError):
+        x ** -1
+
+    y = alg.element(dict(x.terms))
+    assert y is not x and y == x and hash(y) == hash(x)
+    assert len({x, y, x + 1}) == 2
+
+    for other in (other_m, other_skew):
+        if other is None:
+            continue
+        w = other.unit()
+        assert w != x
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+            with pytest.raises(ValueError):
+                op(x, w)
+
+    mixed = torus.quantum_torus(ctx).unit() if kind == "pbw" else algebra_factory(m).unit()
+    assert mixed != x
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(TypeError):
+            op(x, mixed)
+        with pytest.raises(TypeError):
+            op(mixed, x)
+
+    # the constant term prints bare, every other coefficient in brackets
+    assert repr(alg.scalar(Fraction(-2, 5))) == "-2/5"
+    assert repr(x).startswith("2/3 + (")
+    if kind == "pbw":
+        assert expr.evaluate(repr(x), alg) == x
+        assert expr.to_src(x) == repr(x)

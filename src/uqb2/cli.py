@@ -37,8 +37,7 @@ def matrix_json(M):
 
 
 def _emit(payload):
-    json.dump(payload, sys.stdout, indent=2, sort_keys=False)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _parse_matrix(spec):

@@ -13,19 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .repmod import build, residue_action
-
-# families sharing the same matching equations (the subalgebra families
-# correspond one-to-one with their primed extensions, parameters included)
-_EQUATION_CLASS = {
-    "V1": "V1",
-    "V1p": "V1",
-    "V2": "V2",
-    "V2p": "V2",
-    "V3": "V3",
-    "V3p": "V3",
-    "V4p": "V4",
-}
+from .repmod import base_family, build, residue_action
 
 
 @dataclass
@@ -41,7 +29,8 @@ def _witness(ctx, kind, p1, p2, p):
     # e1-action is an invertible cyclic shift; for the other families the
     # kernel of e1 (resp. of e3) carries an eigenvalue that any isomorphism
     # must preserve on the nose, so their remaining freedom sits in alpha^l
-    # alone (V2) or vanishes entirely (V3, V4).
+    # alone (V2) or vanishes entirely (V3, V4p).  A primed family V1p, V2p,
+    # V3p has the parameters, and so the equations, of the family it extends.
     q = ctx.q_pow
     if kind == "V1":
         return (
@@ -60,7 +49,7 @@ def _witness(ctx, kind, p1, p2, p):
         )
     if kind == "V3":
         return p == 0 and p1.alpha == p2.alpha and p1.beta == p2.beta
-    if kind == "V4":
+    if kind == "V4p":
         return (
             p == 0
             and p1.alpha == p2.alpha
@@ -74,7 +63,7 @@ def iso_predicate(ctx, params1, params2):
     """Closed-form isomorphism test; modules from different families never match."""
     if params1.family != params2.family:
         return IsoVerdict(isomorphic=False)
-    kind = _EQUATION_CLASS[params1.family]
+    kind = base_family(params1.family)
     for p in range(ctx.l):
         if _witness(ctx, kind, params1, params2, p):
             return IsoVerdict(isomorphic=True, witness_p=p)
@@ -85,7 +74,7 @@ def iso_witnesses(ctx, params1, params2):
     """All witnesses p in [0, l-1]; more than one signals a redundant range."""
     if params1.family != params2.family:
         return []
-    kind = _EQUATION_CLASS[params1.family]
+    kind = base_family(params1.family)
     return [p for p in range(ctx.l) if _witness(ctx, kind, params1, params2, p)]
 
 
@@ -141,7 +130,11 @@ def _full_rank_mod_p(r1, r2):
     return False
 
 
-def find_intertwiner(r1, r2, tries=8):
+# q-power weighted combinations of a solution basis tried for invertibility
+_COMBINATIONS = 8
+
+
+def find_intertwiner(r1, r2):
     """Invertible solution T of the joint system A_g T = T B_g, or None.
 
     A system of full rank mod p has only T = 0 as solution, so None is
@@ -172,7 +165,7 @@ def find_intertwiner(r1, r2, tries=8):
             return T
     if len(mats) > 1:
         # deterministic combinations with q-power weights
-        for t in range(1, tries + 1):
+        for t in range(1, _COMBINATIONS + 1):
             combo = linalg.zero_matrix(ctx, d)
             for s, M in enumerate(mats):
                 combo = linalg.mat_add(combo, linalg.mat_scale(M, ctx.q_pow(t * (s + 1)) + t))

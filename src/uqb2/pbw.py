@@ -19,15 +19,97 @@ nontrivial power-against-power expansions (e2^n * e3^j and e2^n * e1^k) are
 memoized per algebra; closed-form commutation identities are *never* used
 inside the engine, they exist only as independent cross-checks
 (``power_commutation_identity``).
+
+The defining relations are also written once as data, in ``FULL_RELATIONS``
+and ``SUBALGEBRA_RELATIONS``, and ``evaluate_relations`` evaluates them on
+any images of the letters: PBW elements, torus elements or matrices.  The
+rewrite rules above are written by hand and never read the table; the table
+is what the engine, the torus realization and the modules are checked
+against.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cyclotomic import CycNum
 
 GENERATOR_NAMES = ("e1", "e2", "e3", "z")
+
+
+class Relation(NamedTuple):
+    """A defining relation: its residual, the sum of its terms, must vanish.
+
+    A term is (coefficient, word): the coefficient is a Laurent polynomial in
+    q written {exponent: integer}, and the word is a product of letters read
+    left to right.  ``name`` is the key ``uqb2 check-module`` prints and
+    ``torus_name`` the key ``uqb2 torus-check`` prints (None off the torus).
+    """
+
+    name: str
+    torus_name: str | None
+    terms: tuple
+
+
+# the presentation of U_q^+(B_2) on e1, e2, e3, z; the last two relations are
+# the Serre relations on e1, e2 alone
+FULL_RELATIONS = (
+    Relation("e1*z-z*e1", "e1_z", (({0: 1}, "e1 z"), ({0: -1}, "z e1"))),
+    Relation("e2*z-z*e2", "e2_z", (({0: 1}, "e2 z"), ({0: -1}, "z e2"))),
+    Relation("e3*z-z*e3", "e3_z", (({0: 1}, "e3 z"), ({0: -1}, "z e3"))),
+    Relation("e1*e3-q^-2*e3*e1", "e1_e3", (({0: 1}, "e1 e3"), ({-2: -1}, "e3 e1"))),
+    Relation("e2*e3-q^2*e3*e2-z", "e2_e3",
+             (({0: 1}, "e2 e3"), ({2: -1}, "e3 e2"), ({0: -1}, "z"))),
+    Relation("e2*e1-q^-2*e1*e2+q^-2*e3", "e2_e1",
+             (({0: 1}, "e2 e1"), ({-2: -1}, "e1 e2"), ({-2: 1}, "e3"))),
+    Relation("serre_degree3", "serre_degree3", (
+        ({0: 1}, "e1 e1 e2"), ({2: -1, -2: -1}, "e1 e2 e1"), ({0: 1}, "e2 e1 e1"))),
+    Relation("serre_degree4", "serre_degree4", (
+        ({0: 1}, "e2 e2 e2 e1"), ({2: -1, 0: -1, -2: -1}, "e2 e2 e1 e2"),
+        ({2: 1, 0: 1, -2: 1}, "e2 e1 e2 e2"), ({0: -1}, "e1 e2 e2 e2"))),
+)
+
+# the presentation of the e1/e3/z/zt subalgebra: the e1-e3, e1-z and e3-z
+# relations above, then the three that involve zt
+SUBALGEBRA_RELATIONS = (
+    FULL_RELATIONS[3], FULL_RELATIONS[0], FULL_RELATIONS[2],
+    Relation("zt*z-z*zt", None, (({0: 1}, "zt z"), ({0: -1}, "z zt"))),
+    Relation("zt*e3-q^2*e3*zt", None, (({0: 1}, "zt e3"), ({2: -1}, "e3 zt"))),
+    Relation("zt*e1-e1*zt+e3^2", None,
+             (({0: 1}, "zt e1"), ({0: -1}, "e1 zt"), ({0: 1}, "e3 e3"))),
+)
+
+
+def evaluate_relations(relations, images, ctx, mul=operator.mul, scale=operator.mul,
+                       add=operator.add, sub=operator.sub):
+    """Each relation paired with its residual, in order, with every letter
+    sent to its entry in ``images``.
+
+    ``mul``, ``scale``, ``add`` and ``sub`` are the product of two images, the
+    multiple of one by a field scalar, their sum and their difference: the
+    element operators by default, the ``linalg`` functions for matrices.
+    """
+    one = ctx.one
+    out = []
+    for rel in relations:
+        total = None
+        for coeff, word in rel.terms:
+            letters = word.split()
+            x = images[letters[0]]
+            for letter in letters[1:]:
+                x = mul(x, images[letter])
+            # after the first term a negative coefficient is subtracted, so the
+            # scalar is more often a unit q^k: -q^k is not one at odd m
+            sign = 1 if total is None or any(n > 0 for n in coeff.values()) else -1
+            c = sum((sign * n * ctx.q_pow(e) for e, n in coeff.items()), ctx.zero)
+            if c != one:
+                x = scale(x, c)
+            total = x if total is None else (add if sign > 0 else sub)(total, x)
+        out.append((rel, total))
+    return out
+
 
 _UNIT = (0, 0, 0, 0)
 
@@ -217,17 +299,8 @@ class PBWAlgebra:
         Both must reduce to zero; e3 and z enter through their commutator
         definitions baked into the rewrite rules.
         """
-        e1, e2, _, _ = self.generators()
-        q = self.ctx
-        c = q.q_pow(2) + q.q_pow(-2)
-        deg3 = e1 * e1 * e2 - c * (e1 * e2 * e1) + e2 * e1 * e1
-        c4 = q.q_pow(2) + q.one + q.q_pow(-2)
-        deg4 = (
-            e2 * e2 * e2 * e1
-            - c4 * (e2 * e2 * e1 * e2)
-            + c4 * (e2 * e1 * e2 * e2)
-            - e1 * e2 * e2 * e2
-        )
+        images = {g: self.generator(g) for g in ("e1", "e2")}
+        (_, deg3), (_, deg4) = evaluate_relations(FULL_RELATIONS[6:], images, self.ctx)
         return {"degree3": deg3, "degree4": deg4}
 
     def power_commutation_identity(self, index, k):

@@ -15,22 +15,33 @@ from dataclasses import dataclass
 
 from . import linalg
 from .cyclotomic import residue_map
-from .pbw import PBWElement
+from .pbw import FULL_RELATIONS, SUBALGEBRA_RELATIONS, PBWElement, evaluate_relations
 
-SUBALGEBRA_FAMILIES = ("V1", "V2", "V3")
-PRIMED_FAMILIES = ("V1p", "V2p", "V3p", "V4p")
-FAMILIES = SUBALGEBRA_FAMILIES + PRIMED_FAMILIES
+FAMILIES = ("V1", "V2", "V3", "V1p", "V2p", "V3p", "V4p")
 
-# parameter slots per family; starred slots must be nonzero
+# the subalgebra family each primed family extends: it shares that family's
+# parameters and e1, e3, z actions; V4p extends none
+EXTENDS = {"V1p": "V1", "V2p": "V2", "V3p": "V3"}
+
+# parameter slots per family, primed ones under the family they extend;
+# starred slots must be nonzero
 _PARAM_SPEC = {
     "V1": (("alpha", True), ("beta", True), ("gamma", True), ("delta", False)),
     "V2": (("alpha", True), ("beta", True), ("gamma", True)),
     "V3": (("alpha", True), ("beta", True)),
-    "V1p": (("alpha", True), ("beta", True), ("gamma", True), ("delta", False)),
-    "V2p": (("alpha", True), ("beta", True), ("gamma", True)),
-    "V3p": (("alpha", True), ("beta", True)),
     "V4p": (("alpha", True), ("beta", False), ("gamma", False)),
 }
+
+
+def base_family(family):
+    """The family whose parameters and e1, e3, z actions ``family`` has."""
+    return EXTENDS.get(family, family)
+
+
+def _param_spec(family):
+    if family not in FAMILIES:
+        raise ValueError("unknown family %r" % (family,))
+    return _PARAM_SPEC[base_family(family)]
 
 
 @dataclass(frozen=True)
@@ -41,17 +52,10 @@ class ModuleParams:
     gamma: object = None
     delta: object = None
 
-    def values(self):
-        return tuple(
-            getattr(self, slot) for slot, _ in _PARAM_SPEC[self.family]
-        )
-
 
 def module_params(ctx, family, *values):
     """Validated parameter tuple for a family; starred slots must be nonzero."""
-    if family not in _PARAM_SPEC:
-        raise ValueError("unknown family %r" % (family,))
-    spec = _PARAM_SPEC[family]
+    spec = _param_spec(family)
     if len(values) != len(spec):
         raise ValueError(
             "family %s takes %d parameters, got %d" % (family, len(spec), len(values))
@@ -79,106 +83,32 @@ class Representation:
 
 
 def module_dimension(ctx, family):
-    if family in ("V3", "V3p"):
+    if base_family(family) == "V3":
         return ctx.ord_q_pow(4)
     return ctx.l
 
 
 def build(ctx, params):
-    """Action matrices for one family at the given parameters."""
+    """Action matrices for one family at the given parameters.
+
+    A primed family V1p, V2p, V3p takes the e1, e3 and z actions of the
+    subalgebra family it extends, and e2 = (zt - z/(q^2-1)) e3^(-1) with the
+    diagonal e3 inverted in closed form.
+    """
     family = params.family
-    if family not in _PARAM_SPEC:
-        raise ValueError("unknown family %r" % (family,))
-    for slot, must in _PARAM_SPEC[family]:
+    for slot, must in _param_spec(family):
         c = getattr(params, slot)
         if c is None:
             raise ValueError("family %s needs parameter %s" % (family, slot))
         if must and not c:
             raise ValueError("parameter %s of %s must be nonzero" % (slot, family))
     d = module_dimension(ctx, family)
-    zero = linalg.zero_matrix
     q = ctx.q_pow
-    one = ctx.one
     a, b, g, dl = params.alpha, params.beta, params.gamma, params.delta
-
-    act = {}
-    if family == "V1":
-        e1 = zero(ctx, d)
-        e3 = zero(ctx, d)
-        zt = zero(ctx, d)
-        ainv = a.invert()
-        for k in range(d):
-            e1[k][(k + 1) % d] = a
-            e3[k][k] = q(-2 * k) * b
-            zt[k][(k - 1) % d] = ainv * (dl + ctx.q_bracket(k, -4) * b * b)
-        act = {"e1": e1, "e3": e3, "z": linalg.scalar_matrix(ctx, d, g), "zt": zt}
-    elif family == "V2":
-        e1 = zero(ctx, d)
-        e3 = zero(ctx, d)
-        zt = zero(ctx, d)
-        ainv = a.invert()
-        for k in range(d):
-            if k:
-                e1[k][k - 1] = ainv * b * b * (-ctx.q_bracket(k, 4))
-            e3[k][k] = q(2 * k) * b
-            zt[k][(k + 1) % d] = a
-        act = {"e1": e1, "e3": e3, "z": linalg.scalar_matrix(ctx, d, g), "zt": zt}
-    elif family == "V3":
-        e1 = zero(ctx, d)
-        e3 = zero(ctx, d)
-        zt = zero(ctx, d)
-        for k in range(d):
-            if k:
-                e1[k][k - 1] = a * a * (-ctx.q_bracket(k, 4))
-            e3[k][k] = q(2 * k) * a
-            if k != d - 1:
-                zt[k][k + 1] = one
-        act = {"e1": e1, "e3": e3, "z": linalg.scalar_matrix(ctx, d, b), "zt": zt}
-    elif family == "V1p":
-        e1 = zero(ctx, d)
-        e2 = zero(ctx, d)
-        e3 = zero(ctx, d)
-        ainv, binv = a.invert(), b.invert()
-        coef_z = -g * binv * (q(2) - 1).invert()
-        for k in range(d):
-            e1[k][(k + 1) % d] = a
-            e3[k][k] = q(-2 * k) * b
-            e2[k][(k - 1) % d] = (
-                ainv * (dl + ctx.q_bracket(k, -4) * b * b) * q(2 * (k - 1)) * binv
-            )
-            e2[k][k] = e2[k][k] + coef_z * q(2 * k)
-        act = {"e1": e1, "e2": e2, "e3": e3, "z": linalg.scalar_matrix(ctx, d, g)}
-    elif family == "V2p":
-        e1 = zero(ctx, d)
-        e2 = zero(ctx, d)
-        e3 = zero(ctx, d)
-        ainv, binv = a.invert(), b.invert()
-        coef_z = g * binv * (q(2) - 1).invert()
-        for k in range(d):
-            if k:
-                e1[k][k - 1] = ainv * b * b * (-ctx.q_bracket(k, 4))
-            e3[k][k] = q(2 * k) * b
-            e2[k][(k + 1) % d] = a * binv * q(-2 * (k + 1))
-            e2[k][k] = e2[k][k] - coef_z * q(-2 * k)
-        act = {"e1": e1, "e2": e2, "e3": e3, "z": linalg.scalar_matrix(ctx, d, g)}
-    elif family == "V3p":
-        e1 = zero(ctx, d)
-        e2 = zero(ctx, d)
-        e3 = zero(ctx, d)
-        ainv = a.invert()
-        coef_z = b * ainv * (q(2) - 1).invert()
-        for k in range(d):
-            if k:
-                e1[k][k - 1] = a * a * (-ctx.q_bracket(k, 4))
-            e3[k][k] = q(2 * k) * a
-            if k != d - 1:
-                e2[k][k + 1] = ainv * q(-2 * (k + 1))
-            e2[k][k] = e2[k][k] - coef_z * q(-2 * k)
-        act = {"e1": e1, "e2": e2, "e3": e3, "z": linalg.scalar_matrix(ctx, d, b)}
-    elif family == "V4p":
-        e1 = zero(ctx, d)
-        e2 = zero(ctx, d)
-        e3 = zero(ctx, d)
+    e1, e3 = linalg.zero_matrix(ctx, d), linalg.zero_matrix(ctx, d)
+    base = base_family(family)
+    if base == "V4p":
+        e2 = linalg.zero_matrix(ctx, d)
         den_inv = ((q(4) - 1) * (q(2) - 1)).invert()
         for k in range(d):
             e1[k][k] = b * q(-2 * k)
@@ -187,13 +117,45 @@ def build(ctx, params):
                     -q(-2 * (k - 1)) * ((q(2 * k) - 1) * (q(2 * (k - 1)) - 1) * den_inv) * a
                 )
             if k != d - 1:
-                e2[k][k + 1] = one
+                e2[k][k + 1] = ctx.one
             else:
                 e2[k][0] = g
             if k:
                 e3[k][k - 1] = a * ctx.q_bracket(k, 2)
-        act = {"e1": e1, "e2": e2, "e3": e3, "z": linalg.scalar_matrix(ctx, d, a)}
-    return Representation(family=family, params=params, dim=d, act=act, ctx=ctx)
+        return Representation(family, params, d, {
+            "e1": e1, "e2": e2, "e3": e3, "z": linalg.scalar_matrix(ctx, d, a)}, ctx)
+    # e3 = diag(q^(step*k) * unit) and z = central * 1
+    step, unit, central = {"V1": (-2, b, g), "V2": (2, b, g), "V3": (2, a, b)}[base]
+    zt = linalg.zero_matrix(ctx, d)
+    for k in range(d):
+        e3[k][k] = q(step * k) * unit
+    if base == "V1":
+        ainv = a.invert()
+        for k in range(d):
+            e1[k][(k + 1) % d] = a
+            zt[k][(k - 1) % d] = ainv * (dl + ctx.q_bracket(k, -4) * b * b)
+    elif base == "V2":
+        ainv = a.invert()
+        for k in range(d):
+            if k:
+                e1[k][k - 1] = ainv * b * b * (-ctx.q_bracket(k, 4))
+            zt[k][(k + 1) % d] = a
+    else:
+        for k in range(d):
+            if k:
+                e1[k][k - 1] = a * a * (-ctx.q_bracket(k, 4))
+            if k != d - 1:
+                zt[k][k + 1] = ctx.one
+    z = linalg.scalar_matrix(ctx, d, central)
+    if family == base:
+        return Representation(family, params, d, {"e1": e1, "e3": e3, "z": z, "zt": zt}, ctx)
+    # e3^(-1) = diag(q^(-step*k) / unit)
+    uinv = unit.invert()
+    e2 = [[x and x * q(-step * j) * uinv for j, x in enumerate(row)] for row in zt]
+    zq = central * (q(2) - 1).invert()
+    for k in range(d):
+        e2[k][k] = e2[k][k] - zq * q(-step * k) * uinv
+    return Representation(family, params, d, {"e1": e1, "e2": e2, "e3": e3, "z": z}, ctx)
 
 
 def direct_sum(r1, r2):
@@ -215,54 +177,12 @@ def direct_sum(r1, r2):
     return Representation(family="direct_sum", params=None, dim=d, act=act, ctx=ctx)
 
 
-def _mm(a, b):
-    return linalg.mat_mul(a, b)
-
-
 def relation_residuals(rep):
     """Matrix residual of every defining relation of the relevant presentation."""
-    ctx = rep.ctx
-    q = ctx.q_pow
-    act = rep.act
-    out = {}
-    if "e2" in act:  # full-algebra module
-        e1, e2, e3, z = act["e1"], act["e2"], act["e3"], act["z"]
-        out["e1*z-z*e1"] = linalg.mat_sub(_mm(e1, z), _mm(z, e1))
-        out["e2*z-z*e2"] = linalg.mat_sub(_mm(e2, z), _mm(z, e2))
-        out["e3*z-z*e3"] = linalg.mat_sub(_mm(e3, z), _mm(z, e3))
-        out["e1*e3-q^-2*e3*e1"] = linalg.mat_sub(_mm(e1, e3), linalg.mat_scale(_mm(e3, e1), q(-2)))
-        out["e2*e3-q^2*e3*e2-z"] = linalg.mat_sub(
-            linalg.mat_sub(_mm(e2, e3), linalg.mat_scale(_mm(e3, e2), q(2))), z
-        )
-        out["e2*e1-q^-2*e1*e2+q^-2*e3"] = linalg.mat_add(
-            linalg.mat_sub(_mm(e2, e1), linalg.mat_scale(_mm(e1, e2), q(-2))),
-            linalg.mat_scale(e3, q(-2)),
-        )
-        c3 = q(2) + q(-2)
-        out["serre_degree3"] = linalg.mat_add(
-            linalg.mat_sub(_mm(_mm(e1, e1), e2), linalg.mat_scale(_mm(_mm(e1, e2), e1), c3)),
-            _mm(e2, _mm(e1, e1)),
-        )
-        c4 = q(2) + ctx.one + q(-2)
-        e22 = _mm(e2, e2)
-        out["serre_degree4"] = linalg.mat_sub(
-            linalg.mat_add(
-                linalg.mat_sub(_mm(_mm(e22, e2), e1), linalg.mat_scale(_mm(_mm(e22, e1), e2), c4)),
-                linalg.mat_scale(_mm(_mm(e2, e1), e22), c4),
-            ),
-            _mm(e1, _mm(e2, e22)),
-        )
-    else:  # module over the e1/e3/z/zt subalgebra
-        e1, e3, z, zt = act["e1"], act["e3"], act["z"], act["zt"]
-        out["e1*e3-q^-2*e3*e1"] = linalg.mat_sub(_mm(e1, e3), linalg.mat_scale(_mm(e3, e1), q(-2)))
-        out["e1*z-z*e1"] = linalg.mat_sub(_mm(e1, z), _mm(z, e1))
-        out["e3*z-z*e3"] = linalg.mat_sub(_mm(e3, z), _mm(z, e3))
-        out["zt*z-z*zt"] = linalg.mat_sub(_mm(zt, z), _mm(z, zt))
-        out["zt*e3-q^2*e3*zt"] = linalg.mat_sub(_mm(zt, e3), linalg.mat_scale(_mm(e3, zt), q(2)))
-        out["zt*e1-e1*zt+e3^2"] = linalg.mat_add(
-            linalg.mat_sub(_mm(zt, e1), _mm(e1, zt)), _mm(e3, e3)
-        )
-    return out
+    relations = FULL_RELATIONS if "e2" in rep.act else SUBALGEBRA_RELATIONS
+    residuals = evaluate_relations(relations, rep.act, rep.ctx, linalg.mat_mul,
+                                   linalg.mat_scale, linalg.mat_add, linalg.mat_sub)
+    return {rel.name: r for rel, r in residuals}
 
 
 def verify_relations(rep):

@@ -8,9 +8,9 @@ picks up q to the pairing of their exponent vectors under H.  Elements are
 elements: this module supplies only their product.
 
 ``verify_embedding`` realizes the four-generator algebra inside a rank-4
-torus and checks that the images of all defining relations (including both
-relations on e1, e2 alone) vanish.  The commutation matrix below is fixed by
-the relation list
+torus and checks that the images of all defining relations vanish: the table
+``pbw.FULL_RELATIONS``, both relations on e1, e2 alone among them.  The
+commutation matrix below is fixed by the relation list
 
     X1 X2 = q^-2 X2 X1,  X1 X3 = X3 X1,  X1 X4 = q^2 X4 X1,
     X2 X3 = X3 X2,       X2 X4 = q^-2 X4 X2,  X3 X4 = X4 X3.
@@ -18,7 +18,8 @@ the relation list
 
 from __future__ import annotations
 
-from .pbw import SparseElement
+from .lattice import NAMED_MATRICES
+from .pbw import FULL_RELATIONS, GENERATOR_NAMES, SparseElement, evaluate_relations
 
 TORUS_COMMUTATION = (
     (0, -2, 0, 2),
@@ -27,13 +28,9 @@ TORUS_COMMUTATION = (
     (-2, 2, 0, 0),
 )
 
-# X2 X1 = q^-2 X1 X2, X3 X1 = q^2 X1 X3, X3 X2 = q^-2 X2 X3, Z central
-AFFINE_COMMUTATION = (
-    (0, 2, -2, 0),
-    (-2, 0, 2, 0),
-    (2, -2, 0, 0),
-    (0, 0, 0, 0),
-)
+# the associated quantum affine space, whose invariant factors give the PI
+# degree: X2 X1 = q^-2 X1 X2, X3 X1 = q^2 X1 X3, X3 X2 = q^-2 X2 X3, Z central
+AFFINE_COMMUTATION = NAMED_MATRICES["uqb2"]
 
 
 class QCommAlgebra:
@@ -185,29 +182,8 @@ def verify_embedding(ctx):
     is computed and reported alongside rather than asserted.
     """
     torus = quantum_torus(ctx)
-    E1 = embedding_image(torus, "e1")
-    E2 = embedding_image(torus, "e2")
-    E3 = embedding_image(torus, "e3")
-    Z = embedding_image(torus, "z")
-    q = ctx
-
-    c3 = q.q_pow(2) + q.q_pow(-2)
-    c4 = q.q_pow(2) + q.one + q.q_pow(-2)
-    residuals = {
-        "e1_z": E1 * Z - Z * E1,
-        "e2_z": E2 * Z - Z * E2,
-        "e3_z": E3 * Z - Z * E3,
-        "e1_e3": E1 * E3 - q.q_pow(-2) * (E3 * E1),
-        "e2_e3": E2 * E3 - q.q_pow(2) * (E3 * E2) - Z,
-        "e2_e1": E2 * E1 - q.q_pow(-2) * (E1 * E2) + q.q_pow(-2) * E3,
-        "serre_degree3": E1 * E1 * E2 - c3 * (E1 * E2 * E1) + E2 * E1 * E1,
-        "serre_degree4": (
-            E2 * E2 * E2 * E1
-            - c4 * (E2 * E2 * E1 * E2)
-            + c4 * (E2 * E1 * E2 * E2)
-            - E1 * E2 * E2 * E2
-        ),
-    }
+    images = {g: embedding_image(torus, g) for g in GENERATOR_NAMES}
+    residuals = {rel.torus_name: r for rel, r in evaluate_relations(FULL_RELATIONS, images, ctx)}
     zp_image = embedded_z_prime(torus)
     X1, X2, _, X4 = (torus.gen(i) for i in range(4))
     reference = X2 * X4 * X1

@@ -8,6 +8,11 @@ frozen:
 Each case is stored as ``<name>.json`` (the exact stdout of ``cli.main``) and
 ``MANIFEST.json`` records the argv and exit code of every case.
 ``tests/test_golden.py`` replays the manifest and compares the bytes.
+
+A golden is frozen once.  New cases are written and unchanged ones left as
+they are; if any existing case would change (its bytes, argv or exit code),
+nothing is written, the differing cases are named on stderr and the script
+exits with status 1.  To re-freeze a case on purpose, delete its file first.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import contextlib
 import io
 import json
 import pathlib
+import sys
 
 from uqb2 import cli
 
@@ -54,6 +60,11 @@ CORPUS = {
                             "--params", "(1+q)/(2-q^4),q^-3,5"],
     "build_module_m8_V3": ["build-module", "--m", "8", "--family", "V3",
                            "--params", "1/(q-2),q"],
+    "check_module_m7_V1p": ["check-module", "--m", "7", "--family", "V1p",
+                            "--params", "q,q^2,2,q^3"],
+    "check_module_m9_V3": ["check-module", "--m", "9", "--family", "V3",
+                           "--params", "1/(q-2),q"],
+    "torus_check_m9": ["torus-check", "--m", "9"],
 }
 
 
@@ -65,13 +76,28 @@ def run(argv):
 
 
 def main():
-    manifest = {}
+    old = {}
+    if (HERE / "MANIFEST.json").exists():
+        old = json.loads((HERE / "MANIFEST.json").read_text())
+    manifest, texts, changed = {}, {}, []
     for name, argv in CORPUS.items():
         code, text = run(argv)
-        (HERE / (name + ".json")).write_text(text)
         manifest[name] = {"argv": argv, "exit": code}
+        path = HERE / (name + ".json")
+        if path.exists():
+            if path.read_text() != text or old.get(name, manifest[name]) != manifest[name]:
+                changed.append(name)
+        else:
+            texts[path] = text
+    if changed:
+        print("golden output would change, nothing written: %s" % ", ".join(changed),
+              file=sys.stderr)
+        return 1
+    for path, text in texts.items():
+        path.write_text(text)
     (HERE / "MANIFEST.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

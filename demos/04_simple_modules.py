@@ -38,8 +38,12 @@ print("  reconstructed == closed form:",
       repmod.e2_from_subalgebra_action(rb) == rp.act["e2"])
 print()
 
-print("A block-diagonal sum is certified non-simple; its span falls short mod p,")
-print("so the exact span decides:")
+print("A block-diagonal sum of two simple modules is certified non-simple from")
+print("its summands (density theorem): its span is d1^2 + d2^2, or d1^2 when the")
+print("summands are isomorphic, with no word closure:")
 r = repmod.build(ctx, repmod.module_params(ctx, "V4p", 1, 1, 0))
-cert = repmod.is_simple(repmod.direct_sum(r, r))
-print("  simple:", cert.simple, " span:", cert.span_dim, "of", (2 * r.dim) ** 2, " path:", cert.path)
+s = repmod.build(ctx, repmod.module_params(ctx, "V4p", 2, 1, 0))
+for label, other in (("V4p + V4p, same", r), ("V4p + V4p, other alpha", s)):
+    cert = repmod.is_simple(repmod.direct_sum(r, other))
+    print("  %-22s simple: %s  span: %d of %d  path: %s" % (
+        label, cert.simple, cert.span_dim, (2 * r.dim) ** 2, cert.path))

@@ -37,7 +37,7 @@ def mat_sub(a, b):
 
 
 def mat_scale(a, c):
-    return [[x * c for x in row] for row in a]
+    return [[x and x * c for x in row] for row in a]
 
 
 def mat_mul(a, b):

@@ -76,6 +76,7 @@ class Representation:
     dim: int
     act: dict
     ctx: object
+    summands: tuple = ()  # the two modules of a direct sum, else empty
 
     @property
     def generator_names(self):
@@ -174,7 +175,8 @@ def direct_sum(r1, r2):
             for j in range(r2.dim):
                 M[r1.dim + i][r1.dim + j] = r2.act[gname][i][j]
         act[gname] = M
-    return Representation(family="direct_sum", params=None, dim=d, act=act, ctx=ctx)
+    return Representation(family="direct_sum", params=None, dim=d, act=act, ctx=ctx,
+                          summands=(r1, r2))
 
 
 def relation_residuals(rep):
@@ -199,7 +201,9 @@ def verify_relations(rep):
 class SimplicityCertificate:
     simple: bool
     span_dim: int
-    path: str  # "modular" or "exact": which computation decided the verdict
+    # which computation decided the verdict: "modular" or "exact" word
+    # closure, or "summands" for a direct sum of certified simple modules
+    path: str
 
 
 def residue_action(rep):
@@ -252,7 +256,20 @@ def is_simple(rep):
     full d*d matrix space.  The words are first closed over F_p: reduction
     mod p can only lower a span, so a full span there proves simplicity.
     Any other outcome is decided, and ``span_dim`` computed, over the field.
+
+    A direct sum of two summands that are both certified simple is decided
+    without a closure: by the density theorem its span is d1^2 + d2^2, or
+    d1^2 when the summands are isomorphic.  Equal action matrices are
+    isomorphic; otherwise ``isoclass.find_intertwiner`` decides exactly.  A
+    sum with a summand that is not certified simple runs the closures.
     """
+    if rep.summands:
+        r1, r2 = rep.summands
+        if is_simple(r1).simple and is_simple(r2).simple:
+            from .isoclass import find_intertwiner  # isoclass imports this module
+            iso = r1.dim == r2.dim and (r1.act == r2.act or find_intertwiner(r1, r2) is not None)
+            span_dim = r1.dim ** 2 if iso else r1.dim ** 2 + r2.dim ** 2
+            return SimplicityCertificate(simple=False, span_dim=span_dim, path="summands")
     d = rep.dim
     target = d * d
     reduced = residue_action(rep)

@@ -72,17 +72,76 @@ def test_modular_intertwiner_verdict_matches_exact(context_factory, m):
         assert len(_exact_solutions(r1, r1)) == 1
 
 
-@pytest.mark.parametrize("m", (5, 8))
+@pytest.mark.parametrize("m", (5, 8, 12))
 def test_direct_sums_report_exact_spans(context_factory, m):
+    # the summand certificate against the exact closure of the same sum
     ctx = context_factory(m)
     for family in repmod.FAMILIES:
         first, second = _params(ctx, family)
         M, N = _module(ctx, family, first), _module(ctx, family, second)
         d = M.dim
-        same = repmod.is_simple(repmod.direct_sum(M, M))
-        pair = repmod.is_simple(repmod.direct_sum(M, N))
-        assert same == repmod.SimplicityCertificate(False, d * d, "exact"), (m, family)
-        assert pair == repmod.SimplicityCertificate(False, 2 * d * d, "exact"), (m, family)
+        for other, span in ((M, d * d), (N, 2 * d * d)):
+            total = repmod.direct_sum(M, other)
+            cert = repmod.is_simple(total)
+            assert cert == repmod.SimplicityCertificate(False, span, "summands"), (m, family)
+            assert _exact_span(total) == span, (m, family)
+
+
+def _summand_cert_matches_exact(M, N, span):
+    total = repmod.direct_sum(M, N)
+    assert repmod.is_simple(total) == repmod.SimplicityCertificate(False, span, "summands")
+    assert _exact_span(total) == span
+
+
+def _isomorphic_v1p_pair(ctx):
+    # the V1 witness equations at p = 1: beta1 = q^-2 beta2 and
+    # delta1 = delta2 + [1]_(-4) beta2^2
+    q = ctx.q
+    M = _module(ctx, "V1p", (q, 1, 1, 0))
+    N = _module(ctx, "V1p", (q, q ** 2, 1, -ctx.q_bracket(1, -4) * q ** 4))
+    assert isoclass.iso_predicate(ctx, M.params, N.params).witness_p == 1
+    assert M.act != N.act
+    return M, N
+
+
+def test_summands_of_different_dimension(context_factory):
+    ctx = context_factory(8)
+    M, N = _module(ctx, "V1", (1, 1, 1, 0)), _module(ctx, "V3", (1, 1))
+    assert (M.dim, N.dim) == (4, 2)
+    _summand_cert_matches_exact(M, N, 20)
+
+
+def test_isomorphic_summands_with_unequal_matrices(context_factory):
+    ctx = context_factory(5)
+    M, N = _isomorphic_v1p_pair(ctx)
+    _summand_cert_matches_exact(M, N, M.dim ** 2)
+
+
+def test_summands_equal_mod_p_not_isomorphic(context_factory):
+    ctx = context_factory(5)
+    p, _ = residue_map(5)
+    M, N = _module(ctx, "V4p", (p, 0, 0)), _module(ctx, "V4p", (2 * p, 0, 0))
+    _summand_cert_matches_exact(M, N, 2 * M.dim ** 2)
+
+
+def test_nested_sum_runs_the_closure(context_factory):
+    ctx = context_factory(8)
+    M, N = _module(ctx, "V3", (1, 1)), _module(ctx, "V3", (ctx.q, 2))
+    total = repmod.direct_sum(repmod.direct_sum(M, M), N)
+    d = M.dim
+    assert repmod.is_simple(total) == repmod.SimplicityCertificate(False, 2 * d * d, "exact")
+    assert _exact_span(total) == 2 * d * d
+
+
+def test_wrong_isomorphism_verdict_is_caught(context_factory, monkeypatch):
+    # a solver that misses the intertwiner makes the certificate disagree with
+    # the exact closure
+    ctx = context_factory(5)
+    M, N = _isomorphic_v1p_pair(ctx)
+    monkeypatch.setattr(isoclass, "find_intertwiner", lambda r1, r2: None)
+    total = repmod.direct_sum(M, N)
+    assert repmod.is_simple(total).span_dim == 2 * M.dim ** 2
+    assert _exact_span(total) == M.dim ** 2
 
 
 @pytest.mark.parametrize("m", (5, 8))

@@ -26,7 +26,7 @@ for name, residual in alg.serre_residuals().items():
     print("  %s residual -> %r" % (name, residual))
 print()
 print("A power expansion and its closed form (k = 3):")
-x = alg.power(e2, 3) * e1
+x = e2 ** 3 * e1
 print("  e2^3*e1 =", to_src(x))
 print("  residual against the closed form:", alg.power_commutation_identity(4, 3))
 print()
@@ -34,6 +34,6 @@ print("Central powers: e1^l, e2^l, e3^l and z commute with everything.")
 for gname in ("e1", "e2", "e3"):
     g = alg.generator(gname)
     print("  %s^%d central: %s   %s^%d central: %s" % (
-        gname, ctx.l, alg.is_central(alg.power(g, ctx.l)),
-        gname, ctx.l - 1, alg.is_central(alg.power(g, ctx.l - 1)),
+        gname, ctx.l, alg.is_central(g ** ctx.l),
+        gname, ctx.l - 1, alg.is_central(g ** (ctx.l - 1)),
     ))

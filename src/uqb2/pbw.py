@@ -15,9 +15,10 @@ share; only the product differs between the two.
 
 Products are normal-formed by repeated single-step swaps of out-of-order
 adjacent generator pairs, using exactly the relations above.  The two
-nontrivial power-against-power expansions (e2^n * e3^j and e2^n * e1^k) are
-memoized per algebra; closed-form commutation identities are *never* used
-inside the engine, they exist only as independent cross-checks
+nontrivial power-against-power expansions, e2^n * e3^j and e2^n * e1^k, are
+cases of one recursion for e2^n * e3^j * e1^k, memoized per algebra in one
+table; closed-form commutation identities are *never* used inside the
+engine, they exist only as independent cross-checks
 (``power_commutation_identity``).
 
 The defining relations are also written once as data, in ``FULL_RELATIONS``
@@ -131,9 +132,8 @@ class PBWAlgebra:
         # e2 * e3^j and e2 * e1^k, grown on demand by one swap at a time
         self._b1 = [{(0, 0, 0, 1): one}]
         self._a1 = [{(0, 0, 0, 1): one}]
-        # e2^n * e3^j and e2^n * e1^k for n >= 2
-        self._bcache = {}
-        self._acache = {}
+        # e2^n * e3^j * e1^k, keyed by (n, j, k)
+        self._e2cache = {}
 
     # -- element constructors -------------------------------------------------
 
@@ -197,59 +197,37 @@ class PBWAlgebra:
             tab.append(nxt)
         return tab[k]
 
-    def _e2n_e3j(self, n, j):
-        """Terms of e2^n * e3^j (supported on z^a e3^b e2^c monomials)."""
+    def _e2n(self, n, j, k):
+        """Terms of e2^n * e3^j * e1^k; the products ask for j = 0 or k = 0."""
         if n == 0:
-            return {(0, j, 0, 0): self.ctx.one}
-        if j == 0:
+            return {(0, j, k, 0): self.ctx.one}
+        if j == k == 0:
             return {(0, 0, 0, n): self.ctx.one}
-        if n == 1:
+        if n == 1 and not k:
             return self._b1_at(j)
-        cached = self._bcache.get((n, j))
-        if cached is not None:
-            return cached
-        cur = self._e2n_e3j(n - 1, j)
-        out = {}
-        for (i, b, _, c), co in cur.items():
-            for (i1, b1, _, c1), co1 in self._b1_at(b).items():
-                key = (i + i1, b1, 0, c1 + c)
-                acc = out.get(key)
-                prod = co * co1
-                out[key] = prod if acc is None else acc + prod
-        out = {k: v for k, v in out.items() if v}
-        self._bcache[(n, j)] = out
-        return out
-
-    def _e2n_e1k(self, n, k):
-        """Terms of e2^n * e1^k (general z^a e3^b e1^c e2^d monomials)."""
-        if n == 0:
-            return {(0, 0, k, 0): self.ctx.one}
-        if k == 0:
-            return {(0, 0, 0, n): self.ctx.one}
-        if n == 1:
+        if n == 1 and not j:
             return self._a1_at(k)
-        cached = self._acache.get((n, k))
+        cached = self._e2cache.get((n, j, k))
         if cached is not None:
             return cached
-        cur = self._e2n_e1k(n - 1, k)
         out = {}
-        for (i, b, c, d), co in cur.items():
+        for (i, b, c, d), co in self._e2n(n - 1, j, k).items():
             # left-multiply the monomial by e2: first push e2 past e3^b,
             # then push any produced e2 past e1^c
             for (i1, b1, _, c1), co1 in self._b1_at(b).items():
                 lead = co * co1
-                if c1 == 0:
-                    key = (i + i1, b1, c, d)
-                    acc = out.get(key)
-                    out[key] = lead if acc is None else acc + lead
-                else:
+                if c1 and c:
                     for (p, qq, r, u), co2 in self._a1_at(c).items():
                         key = (i + i1 + p, b1 + qq, r, u + d)
                         prod = lead * co2
                         acc = out.get(key)
                         out[key] = prod if acc is None else acc + prod
-        out = {k: v for k, v in out.items() if v}
-        self._acache[(n, k)] = out
+                else:
+                    key = (i + i1, b1, c, d + c1)
+                    acc = out.get(key)
+                    out[key] = lead if acc is None else acc + lead
+        out = {key: v for key, v in out.items() if v}
+        self._e2cache[(n, j, k)] = out
         return out
 
     # -- products --------------------------------------------------------------
@@ -258,10 +236,9 @@ class PBWAlgebra:
         i1, j1, k1, n1 = m1
         i2, j2, k2, n2 = m2
         q_pow = self.ctx.q_pow
-        middle = self._e2n_e3j(n1, j2)
-        for (a, b, _, c), cb in middle.items():
+        for (a, b, _, c), cb in self._e2n(n1, j2, 0).items():
             lead = coeff * cb
-            for (p, qq, r, u), ca in self._e2n_e1k(c, k2).items():
+            for (p, qq, r, u), ca in self._e2n(c, 0, k2).items():
                 co = lead * ca
                 shift = b + qq
                 if k1 and shift:
@@ -276,9 +253,6 @@ class PBWAlgebra:
             for m2, c2 in y.terms.items():
                 self._mono_mul_into(out, m1, m2, c1 * c2)
         return PBWElement(self, {k: v for k, v in out.items() if v})
-
-    def power(self, x, n):
-        return x ** n
 
     # -- derived operations ------------------------------------------------------
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from uqb2 import isoclass, repmod
+from uqb2 import conformance, isoclass, linalg, repmod
 
 
 def _pool(ctx, rng, allow_zero=False):
@@ -174,3 +174,18 @@ def test_verdict_carries_intertwiner(context_factory):
     p = repmod.module_params(ctx, "V4p", 1, 1, 1)
     v = isoclass.isomorphism_verdict(ctx, p, p)
     assert v.isomorphic and v.intertwiner is not None
+
+
+@pytest.mark.parametrize("m", [5, 8])
+@pytest.mark.parametrize("family", ["V1p", "V2p", "V3p", "V4p"])
+def test_intertwiner_of_a_sum_of_two_simples_is_a_combination(context_factory, m, family):
+    # End(A + B) for simple A, B that are not isomorphic is spanned by the two
+    # projections, both singular, so only a combination of the nullspace basis
+    # is invertible
+    ctx = context_factory(m)
+    pa, pb = conformance._sample_params(ctx, family)
+    S = repmod.direct_sum(repmod.build(ctx, pa), repmod.build(ctx, pb))
+    T = isoclass.find_intertwiner(S, S)
+    assert T is not None
+    assert isoclass.intertwines(S, S, T)
+    assert linalg.is_invertible(T)

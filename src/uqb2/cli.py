@@ -72,7 +72,7 @@ def cmd_nf(args):
 def cmd_central(args):
     ctx = field_init(args.m)
     alg = PBWAlgebra(ctx)
-    witness = structure.first_commutator_witness(alg, expr.evaluate(args.expr, alg))
+    witness = alg.commutator_witness(expr.evaluate(args.expr, alg))
     if witness is not None:
         gname, key, coeff = witness
         witness = {"against": gname, **term_json(key, coeff)}

@@ -3,7 +3,10 @@
 Matrices are plain lists of lists of field scalars.  Everything here is
 elimination-based and exact; sparse dict vectors are used where the callers
 (module simplicity certification, intertwiner solving) produce mostly-zero
-data.
+data.  The action matrices have at most two nonzeros per row, so the kernels
+touch nonzero entries only: ``mat_mul`` walks the nonzero ``(column, entry)``
+pairs of each right-factor row, and ``mat_add``/``mat_sub`` return an entry
+as it is when the other one is zero, so a zero never costs a field sum.
 """
 
 from __future__ import annotations
@@ -29,32 +32,36 @@ def scalar_matrix(ctx, n, c):
 
 
 def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[(x + y if x else y) if y else x for x, y in zip(ra, rb)]
+            for ra, rb in zip(a, b)]
 
 
 def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[(x - y if x else -y) if y else x for x, y in zip(ra, rb)]
+            for ra, rb in zip(a, b)]
 
 
 def mat_scale(a, c):
     return [[x and x * c for x in row] for row in a]
 
 
+def nonzero_rows(a):
+    """The nonzero ``(column, entry)`` pairs of each row of a."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in a]
+
+
 def mat_mul(a, b):
-    n, mid, m = len(a), len(b), len(b[0])
-    zero = a[0][0].ctx.zero if n else None
+    m = len(b[0])
+    zero = a[0][0].ctx.zero if a else None
+    bnz = nonzero_rows(b)
     out = []
-    for i in range(n):
+    for arow in a:
         row = [zero] * m
-        arow = a[i]
-        for k in range(mid):
-            c = arow[k]
-            if not c:
-                continue
-            brow = b[k]
-            for j in range(m):
-                if brow[j]:
-                    row[j] = row[j] + c * brow[j]
+        for c, brow in zip(arow, bnz):
+            if c:
+                for j, x in brow:
+                    y = row[j]
+                    row[j] = y + c * x if y else c * x
         out.append(row)
     return out
 
@@ -193,25 +200,6 @@ def mat_residues(a):
         if None in res:
             return None
         out.append(res)
-    return out
-
-
-def identity_mod(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def mat_mul_mod(a, b, p):
-    """Product of matrices of residues mod p."""
-    m = len(b[0])
-    out = []
-    for arow in a:
-        row = [0] * m
-        for c, brow in zip(arow, b):
-            if c:
-                for j, v in enumerate(brow):
-                    if v:
-                        row[j] += c * v
-        out.append([x % p for x in row])
     return out
 
 

@@ -259,13 +259,23 @@ class PBWAlgebra:
     def commutator(self, x, y):
         return self.mul(x, y) - self.mul(y, x)
 
+    def commutator_witness(self, x):
+        """The first nonzero commutator of x against e1, then e2, if any.
+
+        Returns (generator name, least monomial of the commutator, its
+        coefficient), or None when x is central: e1 and e2 generate the
+        algebra.
+        """
+        for gname in ("e1", "e2"):
+            c = self.commutator(x, self.generator(gname))
+            if c:
+                key = min(c.terms)
+                return gname, key, c.terms[key]
+        return None
+
     def is_central(self, x):
         """True iff x commutes with e1 and e2 (which generate the algebra)."""
-        e1 = self.generator("e1")
-        if self.commutator(x, e1):
-            return False
-        e2 = self.generator("e2")
-        return not self.commutator(x, e2)
+        return self.commutator_witness(x) is None
 
     def serre_residuals(self):
         """Normal forms of the two defining relations on e1, e2 alone.

@@ -218,27 +218,43 @@ def residue_action(rep):
     return p, act
 
 
-def word_span(gens, identity, mul, span, target):
-    """Insert the vectorized words in ``gens`` into ``span`` breadth first,
-    right-multiplying the new words of one layer by every generator, until
-    the span reaches ``target`` or stops growing; returns its dimension.
+def word_span(gens, p=None):
+    """Dimension of the span of all words in the d x d matrices ``gens``.
 
-    ``mul`` multiplies two matrices and ``span`` is a ``SparseEchelon`` or a
-    ``ModEchelon``, so the same loop runs over the field and over F_p.
+    Words are sparse vectorized dicts {i*d + j: entry}.  The words new in one
+    layer are right-multiplied by every generator, held as the nonzero
+    ``(column, entry)`` pairs of its rows, and inserted breadth first until
+    the span reaches d*d or stops growing.  Over F_p (``p`` given, entries
+    residues) the entries are reduced mod p and the span is a ``ModEchelon``;
+    otherwise it is a ``SparseEchelon`` over the field.  A scalar generator
+    is left out: the identity is in the span, so c*W adds nothing to it.
     """
-    d = len(identity)
-
-    def vectorize(M):
-        return {i * d + j: x for i, row in enumerate(M) for j, x in enumerate(row) if x}
-
-    span.insert(vectorize(identity))
+    d = len(gens[0])
+    target = d * d
+    rows = [linalg.nonzero_rows(G) for G in gens if linalg.scalar_of(G) is None]
+    if p is None:
+        span, one = linalg.SparseEchelon(), gens[0][0][0].ctx.one
+    else:
+        span, one = linalg.ModEchelon(p), 1
+    identity = {i * d + i: one for i in range(d)}
+    span.insert(identity)
     frontier = [identity]
     while frontier and len(span) < target:
         nxt = []
-        for M in frontier:
-            for G in gens:
-                P = mul(M, G)
-                if span.insert(vectorize(P)):
+        for W in frontier:
+            for G in rows:
+                out = {}
+                for idx, x in W.items():
+                    j = idx % d
+                    base = idx - j
+                    for k, y in G[j]:
+                        key = base + k
+                        acc = out.get(key)
+                        out[key] = x * y if acc is None else acc + x * y
+                if p is not None:
+                    out = {k: v % p for k, v in out.items()}
+                P = {k: v for k, v in out.items() if v}
+                if span.insert(P):
                     nxt.append(P)
                     if len(span) == target:
                         break
@@ -270,17 +286,13 @@ def is_simple(rep):
             iso = r1.dim == r2.dim and (r1.act == r2.act or find_intertwiner(r1, r2) is not None)
             span_dim = r1.dim ** 2 if iso else r1.dim ** 2 + r2.dim ** 2
             return SimplicityCertificate(simple=False, span_dim=span_dim, path="summands")
-    d = rep.dim
-    target = d * d
+    target = rep.dim ** 2
     reduced = residue_action(rep)
     if reduced is not None:
         p, act = reduced
-        mul = lambda a, b: linalg.mat_mul_mod(a, b, p)
-        if word_span(list(act.values()), linalg.identity_mod(d), mul,
-                     linalg.ModEchelon(p), target) == target:
+        if word_span(list(act.values()), p) == target:
             return SimplicityCertificate(simple=True, span_dim=target, path="modular")
-    span_dim = word_span(list(rep.act.values()), linalg.identity(rep.ctx, d),
-                         linalg.mat_mul, linalg.SparseEchelon(), target)
+    span_dim = word_span(list(rep.act.values()))
     return SimplicityCertificate(simple=span_dim == target, span_dim=span_dim, path="exact")
 
 

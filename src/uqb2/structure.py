@@ -116,20 +116,6 @@ def zt_power_identity(alg, n):
     return out
 
 
-def first_commutator_witness(alg, x):
-    """The first nonzero commutator of x against e1 or e2, if any.
-
-    Returns (generator name, least monomial of the commutator, its
-    coefficient), or None when x is central.
-    """
-    for gname in ("e1", "e2"):
-        c = alg.commutator(x, alg.generator(gname))
-        if c:
-            key = min(c.terms)
-            return gname, key, c.terms[key]
-    return None
-
-
 def center_report(alg):
     """Centrality survey of the distinguished elements.
 
@@ -142,7 +128,7 @@ def center_report(alg):
     zt = named(alg, "z_tilde")
     e1l = e1 ** l
     e3l = e3 ** l
-    witness = first_commutator_witness(alg, named(alg, "z_prime"))
+    witness = alg.commutator_witness(named(alg, "z_prime"))
     full = {
         "e1^l": alg.is_central(e1l),
         "e2^l": alg.is_central(e2 ** l),

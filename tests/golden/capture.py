@@ -65,6 +65,19 @@ CORPUS = {
     "check_module_m9_V3": ["check-module", "--m", "9", "--family", "V3",
                            "--params", "1/(q-2),q"],
     "torus_check_m9": ["torus-check", "--m", "9"],
+    "iso_m9_V1p": ["iso", "--m", "9", "--family", "V1p",
+                   "--params1", "1,q^-2,1,1", "--params2", "1,1,1,0"],
+    "iso_m20_V2p": ["iso", "--m", "20", "--family", "V2p",
+                    "--params1", "q^2,2,q", "--params2", "1,2,q"],
+    "iso_m16_V1p_none": ["iso", "--m", "16", "--family", "V1p",
+                         "--params1", "1,q,1,0", "--params2", "1,q,2,0"],
+    "simple_m20_V2p": ["simple", "--m", "20", "--family", "V2p", "--params", "q,2,q^3"],
+    "simple_m5_V4p_residue_prime": ["simple", "--m", "5", "--family", "V4p",
+                                    "--params", "2147483171,0,0"],
+    "character_m16_V1p": ["character", "--m", "16", "--family", "V1p",
+                          "--params", "q,q^2,2,q^3"],
+    "check_module_m20_V2p": ["check-module", "--m", "20", "--family", "V2p",
+                             "--params", "q,2,q^3"],
 }
 
 

@@ -34,13 +34,11 @@ def _module(ctx, family, vals):
 
 
 def _exact_span(rep):
-    d = rep.dim
-    return repmod.word_span(list(rep.act.values()), linalg.identity(rep.ctx, d),
-                            linalg.mat_mul, linalg.SparseEchelon(), d * d)
+    return repmod.word_span(list(rep.act.values()))
 
 
 def _exact_solutions(r1, r2):
-    rows = isoclass._system_rows(r1.act, r2.act, r1.dim, r1.ctx.zero)
+    rows = isoclass._system_rows(r1.act, r2.act, r1.dim)
     return linalg.nullspace(rows, r1.dim ** 2, r1.ctx)
 
 
@@ -168,10 +166,8 @@ def test_span_lost_mod_p_falls_back(context_factory):
     p, _ = residue_map(5)
     rep = _module(ctx, "V4p", (p, 0, 0))
     reduced_p, act = repmod.residue_action(rep)
-    mul = lambda a, b: linalg.mat_mul_mod(a, b, reduced_p)
     d = rep.dim
-    assert repmod.word_span(list(act.values()), linalg.identity_mod(d), mul,
-                            linalg.ModEchelon(reduced_p), d * d) < d * d
+    assert repmod.word_span(list(act.values()), reduced_p) < d * d
     assert repmod.is_simple(rep) == repmod.SimplicityCertificate(True, d * d, "exact")
     # equal mod p, not isomorphic over the field
     other = _module(ctx, "V4p", (2 * p, 0, 0))

@@ -1,0 +1,174 @@
+"""The nonzero-only matrix kernels and the sparse word closure against dense
+references written out here: the triple-loop product, the entrywise sum and
+difference, the O(d^3) intertwiner system and a closure of dense words over
+every generator, scalar ones included.
+"""
+
+import dataclasses
+import random
+from fractions import Fraction
+
+import pytest
+
+from uqb2 import isoclass, linalg, repmod
+from uqb2.cyclotomic import residue_map
+
+
+def _random_scalar(ctx, rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return ctx.zero
+    if kind == 1:
+        return ctx.scalar(rng.randint(-5, 5))
+    if kind == 2:
+        return ctx.q_pow(rng.randrange(ctx.m)) * rng.choice((1, -1, 2))
+    return ctx.scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 9))) + ctx.q_pow(1)
+
+
+def _random_matrix(ctx, rng, rows, cols):
+    # one zero row and one zero column on top of the random zeros
+    a = [[_random_scalar(ctx, rng) for _ in range(cols)] for _ in range(rows)]
+    a[rng.randrange(rows)] = [ctx.zero] * cols
+    j = rng.randrange(cols)
+    for row in a:
+        row[j] = ctx.zero
+    return a
+
+
+def _dense_mul(a, b, zero):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b)) if a[i][k] and b[k][j]), zero)
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+SHAPES = ((1, 1, 1), (2, 3, 4), (4, 1, 3), (3, 5, 2), (5, 5, 5), (6, 2, 6))
+
+
+@pytest.mark.parametrize("m", (5, 8, 12))
+def test_kernels_match_dense_references(context_factory, m):
+    ctx = context_factory(m)
+    rng = random.Random(1000 + m)
+    for n, mid, k in SHAPES:
+        a = _random_matrix(ctx, rng, n, mid)
+        b = _random_matrix(ctx, rng, mid, k)
+        assert linalg.mat_mul(a, b) == _dense_mul(a, b, ctx.zero), (m, n, mid, k)
+        c = _random_matrix(ctx, rng, n, mid)
+        assert linalg.mat_add(a, c) == [[x + y for x, y in zip(ra, rc)] for ra, rc in zip(a, c)]
+        assert linalg.mat_sub(a, c) == [[x - y for x, y in zip(ra, rc)] for ra, rc in zip(a, c)]
+        assert linalg.mat_sub(c, a) == [[x - y for x, y in zip(rc, ra)] for ra, rc in zip(a, c)]
+
+
+def _params(ctx, family):
+    q = ctx.q
+    return {
+        "V1": (q, q ** 2, 2, q ** 3),
+        "V2": (q ** 2, 2, q),
+        "V3": (q, 2),
+        "V4p": (q, 0, q ** 2),
+    }[repmod.base_family(family)]
+
+
+def _module(ctx, family, vals=None):
+    vals = _params(ctx, family) if vals is None else vals
+    return repmod.build(ctx, repmod.module_params(ctx, family, *vals))
+
+
+def _dense_system_rows(act1, act2, d):
+    rows = []
+    for gname in sorted(act1):
+        A, B = act1[gname], act2[gname]
+        for i in range(d):
+            for j in range(d):
+                row = {}
+                for k in range(d):
+                    row[k * d + j] = row.get(k * d + j, 0) + A[i][k]
+                    row[i * d + k] = row.get(i * d + k, 0) - B[k][j]
+                row = {c: v for c, v in row.items() if v}
+                if row:
+                    rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("m", (5, 8))
+def test_system_rows_match_the_dense_definition(context_factory, m):
+    ctx = context_factory(m)
+    for family in repmod.FAMILIES:
+        M = _module(ctx, family)
+        N = _module(ctx, family, (1,) * len(_params(ctx, family)))
+        for r1, r2 in ((M, N), (N, M), (M, M)):
+            d = r1.dim
+            assert isoclass._system_rows(r1.act, r2.act, d) == \
+                _dense_system_rows(r1.act, r2.act, d), (m, family)
+            (_, act1), (_, act2) = repmod.residue_action(r1), repmod.residue_action(r2)
+            assert isoclass._system_rows(act1, act2, d) == \
+                _dense_system_rows(act1, act2, d), (m, family)
+
+
+def _dense_closure(gens, p=None):
+    """Span dimension of all words, as dense matrices, in every generator."""
+    d = len(gens[0])
+    if p is None:
+        zero, one = gens[0][0][0].ctx.zero, gens[0][0][0].ctx.one
+        span, canon = linalg.SparseEchelon(), lambda x: x
+    else:
+        zero, one = 0, 1
+        span, canon = linalg.ModEchelon(p), lambda x: x % p
+
+    def vec(M):
+        return {i * d + j: x for i, row in enumerate(M) for j, x in enumerate(row) if x}
+
+    ident = [[one if i == j else zero for j in range(d)] for i in range(d)]
+    span.insert(vec(ident))
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for W in frontier:
+            for G in gens:
+                P = [[canon(x) for x in row] for row in _dense_mul(W, G, zero)]
+                if span.insert(vec(P)):
+                    nxt.append(P)
+        frontier = nxt
+    return len(span)
+
+
+def _check_closure(rep, exact):
+    p, act = repmod.residue_action(rep)
+    assert repmod.word_span(list(act.values()), p) == _dense_closure(list(act.values()), p)
+    assert repmod.word_span(list(rep.act.values())) == exact
+
+
+@pytest.mark.parametrize("m", (5, 7, 8, 9, 12))
+def test_closure_matches_dense_closure(context_factory, m):
+    ctx = context_factory(m)
+    for family in repmod.FAMILIES:
+        rep = _module(ctx, family)
+        gens = list(rep.act.values())
+        assert any(linalg.scalar_of(G) is not None for G in gens)
+        # the exact dense closure is slow at d = 9; simple modules reach d^2
+        exact = rep.dim ** 2 if rep.dim > 7 else _dense_closure(gens)
+        assert exact == rep.dim ** 2
+        _check_closure(rep, exact)
+
+
+def test_closure_span_lost_mod_p(context_factory):
+    ctx = context_factory(5)
+    p, _ = residue_map(5)
+    rep = _module(ctx, "V4p", (p, 0, 0))
+    d = rep.dim
+    _, act = repmod.residue_action(rep)
+    assert repmod.word_span(list(act.values()), p) < d * d
+    _check_closure(rep, _dense_closure(list(rep.act.values())))
+
+
+@pytest.mark.parametrize("family", ("V2", "V4p"))
+def test_closure_of_a_rebuilt_sum(context_factory, family):
+    # a sum rebuilt from its matrices carries no summands, so is_simple runs
+    # both closures: 2d^2 for M + N, d^2 for M + M
+    ctx = context_factory(5)
+    M = _module(ctx, family)
+    N = _module(ctx, family, (1,) * len(_params(ctx, family)))
+    d = M.dim
+    for other, span in ((M, d * d), (N, 2 * d * d)):
+        total = dataclasses.replace(repmod.direct_sum(M, other), summands=())
+        assert _dense_closure(list(total.act.values())) == span
+        assert repmod.is_simple(total) == repmod.SimplicityCertificate(False, span, "exact")
+        _check_closure(total, span)

@@ -50,9 +50,10 @@ def nonzero_rows(a):
     return [[(j, x) for j, x in enumerate(row) if x] for row in a]
 
 
-def mat_mul(a, b):
+def mat_mul(a, b, p=None):
+    """a*b over the field, or over F_p when ``p`` is given (entries residues)."""
     m = len(b[0])
-    zero = a[0][0].ctx.zero if a else None
+    zero = 0 if p is not None else a[0][0].ctx.zero if a else None
     bnz = nonzero_rows(b)
     out = []
     for arow in a:
@@ -62,7 +63,7 @@ def mat_mul(a, b):
                 for j, x in brow:
                     y = row[j]
                     row[j] = y + c * x if y else c * x
-        out.append(row)
+        out.append(row if p is None else [x % p for x in row])
     return out
 
 
@@ -242,3 +243,13 @@ class ModEchelon:
                         del row[j]
         rows[pivot] = rem
         return True
+
+
+def mod_nullspace(a, p):
+    """``nullspace`` over F_p: a basis of {x : a x = 0} for a matrix of
+    residues, as dict vectors."""
+    ech = ModEchelon(p)
+    for row in a:
+        ech.insert({j: x for j, x in enumerate(row) if x})
+    return [{fc: 1, **{pc: p - row[fc] for pc, row in ech.rows.items() if fc in row}}
+            for fc in range(len(a[0])) if fc not in ech.rows]

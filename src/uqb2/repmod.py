@@ -11,6 +11,7 @@ matrix products.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import linalg
@@ -201,8 +202,9 @@ def verify_relations(rep):
 class SimplicityCertificate:
     simple: bool
     span_dim: int
-    # which computation decided the verdict: "modular" or "exact" word
-    # closure, or "summands" for a direct sum of certified simple modules
+    # which computation decided the verdict: "modular" for Norton's test mod
+    # p, "exact" for the word closure over the field, or "summands" for a
+    # direct sum of certified simple modules
     path: str
 
 
@@ -218,27 +220,31 @@ def residue_action(rep):
     return p, act
 
 
-def word_span(gens, p=None):
-    """Dimension of the span of all words in the d x d matrices ``gens``.
+def word_span(gens, p=None, start=None):
+    """Dimension of the span of all words in the d x d matrices ``gens``,
+    applied to ``start`` (the identity by default).
 
     Words are sparse vectorized dicts {i*d + j: entry}.  The words new in one
     layer are right-multiplied by every generator, held as the nonzero
     ``(column, entry)`` pairs of its rows, and inserted breadth first until
-    the span reaches d*d or stops growing.  Over F_p (``p`` given, entries
-    residues) the entries are reduced mod p and the span is a ``ModEchelon``;
-    otherwise it is a ``SparseEchelon`` over the field.  A scalar generator
-    is left out: the identity is in the span, so c*W adds nothing to it.
+    the span is full or stops growing.  A ``start`` vector (indices below d)
+    is spun: its products are vector-matrix products, and the span reaches
+    at most d, not d*d.  Over F_p (``p`` given, entries residues) the entries
+    are reduced mod p and the span is a ``ModEchelon``; otherwise it is a
+    ``SparseEchelon`` over the field.  A scalar generator is left out: c*W
+    adds nothing to a span that holds W.
     """
     d = len(gens[0])
-    target = d * d
+    target = d * d if start is None else d
     rows = [linalg.nonzero_rows(G) for G in gens if linalg.scalar_of(G) is None]
     if p is None:
         span, one = linalg.SparseEchelon(), gens[0][0][0].ctx.one
     else:
         span, one = linalg.ModEchelon(p), 1
-    identity = {i * d + i: one for i in range(d)}
-    span.insert(identity)
-    frontier = [identity]
+    if start is None:
+        start = {i * d + i: one for i in range(d)}
+    span.insert(start)
+    frontier = [start]
     while frontier and len(span) < target:
         nxt = []
         for W in frontier:
@@ -264,20 +270,58 @@ def word_span(gens, p=None):
     return len(span)
 
 
+def _simple_diagonal_entry(theta):
+    """The first entry occurring once on the diagonal of theta if theta is
+    triangular, else None."""
+    if any(x for i, row in enumerate(theta) for x in row[:i]) and \
+            any(x for i, row in enumerate(theta) for x in row[i + 1:]):
+        return None
+    diag = [row[i] for i, row in enumerate(theta)]
+    return next((x for x in diag if diag.count(x) == 1), None)
+
+
+def norton_test(gens, p):
+    """Norton's irreducibility test on residue matrices over F_p.
+
+    theta is the first non-scalar generator, else the first product G*H mod p
+    of two distinct non-scalar ones, that is triangular with a diagonal entry
+    lambda occurring once.  Then theta - lambda has nullity 1 over F_p and its
+    algebraic closure: v(theta - lambda) = 0 and w(theta - lambda)^T = 0.  If
+    v spins to F_p^d under the generators and w under their transposes, every
+    submodule over the closure contains v or has a quotient whose dual
+    contains w, so the module is absolutely irreducible.  True only then.
+    """
+    gens = [G for G in gens if linalg.scalar_of(G) is None]
+    products = (linalg.mat_mul(G, H, p) for G in gens for H in gens if G is not H)
+    for theta in itertools.chain(gens, products):
+        lam = _simple_diagonal_entry(theta)
+        if lam is not None:
+            break
+    else:
+        return False
+    A = [[(x - lam) % p if i == j else x for j, x in enumerate(row)]
+         for i, row in enumerate(theta)]
+    (v,), (w,) = linalg.mod_nullspace(list(zip(*A)), p), linalg.mod_nullspace(A, p)
+    d = len(A)
+    transposes = [list(zip(*G)) for G in gens]
+    return word_span(gens, p, v) == d and word_span(transposes, p, w) == d
+
+
 def is_simple(rep):
     """Absolute simplicity via the generated matrix algebra.
 
-    Closes the span of all words in the action matrices (right multiplication
-    by generators) and certifies simplicity exactly when the span reaches the
-    full d*d matrix space.  The words are first closed over F_p: reduction
-    mod p can only lower a span, so a full span there proves simplicity.
-    Any other outcome is decided, and ``span_dim`` computed, over the field.
+    A module is simple exactly when the words in its action matrices span
+    the full d*d matrix space.  ``norton_test`` on the action mod p comes
+    first: when it certifies, Burnside's theorem makes the span mod p d*d,
+    and reduction mod p can only lower a span.  Any other outcome is decided,
+    and ``span_dim`` computed, by the word closure over the field.
 
     A direct sum of two summands that are both certified simple is decided
     without a closure: by the density theorem its span is d1^2 + d2^2, or
     d1^2 when the summands are isomorphic.  Equal action matrices are
     isomorphic; otherwise ``isoclass.find_intertwiner`` decides exactly.  A
-    sum with a summand that is not certified simple runs the closures.
+    sum with a summand that is not certified simple runs Norton's test and
+    the closure.
     """
     if rep.summands:
         r1, r2 = rep.summands
@@ -288,10 +332,8 @@ def is_simple(rep):
             return SimplicityCertificate(simple=False, span_dim=span_dim, path="summands")
     target = rep.dim ** 2
     reduced = residue_action(rep)
-    if reduced is not None:
-        p, act = reduced
-        if word_span(list(act.values()), p) == target:
-            return SimplicityCertificate(simple=True, span_dim=target, path="modular")
+    if reduced is not None and norton_test(list(reduced[1].values()), reduced[0]):
+        return SimplicityCertificate(simple=True, span_dim=target, path="modular")
     span_dim = word_span(list(rep.act.values()))
     return SimplicityCertificate(simple=span_dim == target, span_dim=span_dim, path="exact")
 

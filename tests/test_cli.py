@@ -92,6 +92,15 @@ def test_simple_and_character(capsys):
     assert out["characters"]["e3^l"]["zero"] is False
 
 
+def test_simple_at_a_large_order(capsys):
+    # d = 41: Norton's test certifies without the d^4-entry word closure
+    code, out, _ = run_cli(capsys, "simple", "--m", "41", "--family", "V1p",
+                           "--params", "1,1,1,0")
+    assert code == 0
+    assert out["simple"] is True and out["certificate"] == 1681
+    assert out["path"] == "modular"
+
+
 def test_character_scalar_params_grammar(capsys):
     code, out, _ = run_cli(capsys, "character", "--m", "5", "--family", "V1p",
                            "--params", "1,q^-2,1/2,q^2-1")

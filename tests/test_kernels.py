@@ -1,7 +1,7 @@
-"""The nonzero-only matrix kernels and the sparse word closure against dense
-references written out here: the triple-loop product, the entrywise sum and
-difference, the O(d^3) intertwiner system and a closure of dense words over
-every generator, scalar ones included.
+"""The nonzero-only matrix kernels, the sparse word closure and Norton's test
+against dense references written out here: the triple-loop product, the
+entrywise sum and difference, the O(d^3) intertwiner system and a closure of
+dense words over every generator, scalar ones included.
 """
 
 import dataclasses
@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from uqb2 import isoclass, linalg, repmod
+from uqb2 import conformance, isoclass, linalg, repmod
 from uqb2.cyclotomic import residue_map
 
 
@@ -149,6 +149,11 @@ def test_closure_matches_dense_closure(context_factory, m):
         _check_closure(rep, exact)
 
 
+def _norton(rep):
+    p, act = repmod.residue_action(rep)
+    return repmod.norton_test(list(act.values()), p)
+
+
 def test_closure_span_lost_mod_p(context_factory):
     ctx = context_factory(5)
     p, _ = residue_map(5)
@@ -156,6 +161,7 @@ def test_closure_span_lost_mod_p(context_factory):
     d = rep.dim
     _, act = repmod.residue_action(rep)
     assert repmod.word_span(list(act.values()), p) < d * d
+    assert not _norton(rep)
     _check_closure(rep, _dense_closure(list(rep.act.values())))
 
 
@@ -170,5 +176,54 @@ def test_closure_of_a_rebuilt_sum(context_factory, family):
     for other, span in ((M, d * d), (N, 2 * d * d)):
         total = dataclasses.replace(repmod.direct_sum(M, other), summands=())
         assert _dense_closure(list(total.act.values())) == span
+        assert not _norton(total)
         assert repmod.is_simple(total) == repmod.SimplicityCertificate(False, span, "exact")
         _check_closure(total, span)
+
+
+@pytest.mark.parametrize("m", (5, 7, 8, 9, 12))
+def test_norton_certifies_the_families(context_factory, m):
+    # a certificate must mean a full span of the words mod p
+    ctx = context_factory(m)
+    for family in repmod.FAMILIES:
+        rep = _module(ctx, family)
+        p, act = repmod.residue_action(rep)
+        assert repmod.norton_test(list(act.values()), p), (m, family)
+        assert _dense_closure(list(act.values()), p) == rep.dim ** 2, (m, family)
+
+
+E01, E10 = [[0, 1], [0, 0]], [[0, 0], [1, 0]]
+
+
+@pytest.mark.parametrize("x", ([[1, 0], [0, 2]], [[2, 0], [0, 1]]))
+@pytest.mark.parametrize("y", (E01, E10))
+def test_norton_declines_on_a_reducible_plane(x, y):
+    # with y = E01 (e0 -> e1) the null vector e0 spins to all of V and only
+    # the dual spin finds the submodule <e1>; with y = E10 the dual null
+    # vector spins to all of V* and only the spin of e0 finds <e0>
+    p = 7
+    assert _dense_closure([x, y], p) == 3
+    assert not repmod.norton_test([x, y], p)
+    swap = [[0, 1], [1, 0]]  # E01 + E10: no line is invariant
+    assert _dense_closure([x, swap], p) == 4
+    assert repmod.norton_test([x, swap], p)
+
+
+def test_norton_declines_where_a_repeated_eigenvalue_would_certify():
+    # lambda = 1 occurs twice on diag(1, 1, 2) and its null space is the plane
+    # <e0, e1>; e0 spins to all of V under x and y and under their transposes
+    # (both are symmetric), yet e0 - e1 spans a submodule
+    p = 7
+    x, y = [[1, 0, 0], [0, 1, 0], [0, 0, 2]], [[1, 0, 1], [0, 1, 1], [1, 1, 0]]
+    assert _dense_closure([x, y], p) == 5
+    assert repmod.word_span([x, y], p, {0: 1}) == 3
+    assert not repmod.norton_test([x, y], p)
+
+
+def test_norton_certifies_every_conformance_sample(context_factory):
+    # a narrower search for theta would send these to the exact closure
+    for m in range(5, 33):
+        ctx = context_factory(m)
+        for family in repmod.FAMILIES:
+            for params in conformance._sample_params(ctx, family):
+                assert _norton(repmod.build(ctx, params)), (m, family, params)

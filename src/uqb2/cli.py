@@ -257,8 +257,9 @@ def main(argv=None):
     try:
         check_order(args.m)
         return args.fn(args)
-    except (expr.ParseError, ValueError, ArithmeticError) as exc:
-        # ArithmeticError: input that divides by zero, such as "1/0"
+    except (expr.ParseError, ValueError, ArithmeticError, RecursionError) as exc:
+        # ArithmeticError: input that divides by zero, such as "1/0";
+        # RecursionError: an expression nested or chained too deeply
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -121,7 +121,7 @@ def _full_rank_mod_p(r1, r2):
     if reduced1 is None or reduced2 is None:
         return False
     p = reduced1[0]
-    ech = linalg.ModEchelon(p)
+    ech = linalg.SparseEchelon(p)
     for row in _system_rows(reduced1[1], reduced2[1], d):
         ech.insert(row)
         if len(ech) == d * d:
@@ -156,7 +156,7 @@ def find_intertwiner(r1, r2):
         return None
 
     def devec(vec):
-        return [[vec[i * d + j] for j in range(d)] for i in range(d)]
+        return [[vec.get(i * d + j, ctx.zero) for j in range(d)] for i in range(d)]
 
     mats = [devec(v) for v in basis]
     for T in mats:

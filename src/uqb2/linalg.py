@@ -1,12 +1,15 @@
-"""Small exact linear algebra helpers over a cyclotomic field context.
+"""Small exact linear algebra helpers over a cyclotomic field context or F_p.
 
-Matrices are plain lists of lists of field scalars.  Everything here is
-elimination-based and exact; sparse dict vectors are used where the callers
-(module simplicity certification, intertwiner solving) produce mostly-zero
-data.  The action matrices have at most two nonzeros per row, so the kernels
-touch nonzero entries only: ``mat_mul`` walks the nonzero ``(column, entry)``
-pairs of each right-factor row, and ``mat_add``/``mat_sub`` return an entry
-as it is when the other one is zero, so a zero never costs a field sum.
+Matrices are plain lists of lists of field scalars, or of integer residues
+mod a prime p.  Everything here is elimination-based and exact; sparse dict
+vectors are used where the callers (module simplicity certification,
+intertwiner solving) produce mostly-zero data.  One elimination kernel,
+``SparseEchelon`` with ``nullspace`` on top, serves both rings: given ``p``
+it works over F_p.  The action matrices have at most two nonzeros per row, so
+the kernels touch nonzero entries only: ``mat_mul`` walks the nonzero
+``(column, entry)`` pairs of each right-factor row, and ``mat_add``/``mat_sub``
+return an entry as it is when the other one is zero, so a zero never costs a
+field sum.
 """
 
 from __future__ import annotations
@@ -110,35 +113,44 @@ def is_invertible(a):
 
 
 class SparseEchelon:
-    """Incremental reduced row echelon form over sparse dict vectors.
+    """Incremental reduced row echelon form over sparse dict vectors, over
+    the field or, when ``p`` is given, over F_p with integer entries kept in
+    [0, p).
 
     ``insert`` reduces a vector against the current basis and, when a nonzero
     remainder survives, normalizes it, back-substitutes into the stored rows
     and records the new pivot.  Used to track the span of vectorized matrices.
     """
 
-    def __init__(self):
+    def __init__(self, p=None):
+        self.p = p
         self.rows = {}  # pivot column -> dict vector with that pivot == 1
 
     def __len__(self):
         return len(self.rows)
 
+    def _subtract(self, vec, c, row):
+        """vec -= c * row in place, mod p over F_p; zero entries are deleted.
+        The one elimination loop of ``reduce`` and ``insert``."""
+        p = self.p
+        for j, v in row.items():
+            acc = vec.get(j)
+            s = -c * v if acc is None else acc - c * v
+            if p is not None:
+                s %= p
+            if s:
+                vec[j] = s
+            elif acc is not None:
+                del vec[j]
+
     def reduce(self, vec):
-        vec = dict(vec)
+        p, rows = self.p, self.rows
+        vec = dict(vec) if p is None else {k: v % p for k, v in vec.items()}
         for col in list(vec):
-            if not vec.get(col):
-                continue
-            row = self.rows.get(col)
-            if row is None:
-                continue
-            c = vec[col]
-            for j, v in row.items():
-                acc = vec.get(j)
-                s = -c * v if acc is None else acc - c * v
-                if s:
-                    vec[j] = s
-                elif acc is not None:
-                    del vec[j]
+            c = vec.get(col)
+            row = rows.get(col)
+            if c and row is not None:
+                self._subtract(vec, c, row)
         return {k: v for k, v in vec.items() if v}
 
     def insert(self, vec):
@@ -146,55 +158,44 @@ class SparseEchelon:
         rem = self.reduce(vec)
         if not rem:
             return False
+        p = self.p
         pivot = min(rem)
-        inv = rem[pivot].invert()
-        rem = {k: v * inv for k, v in rem.items()}
-        for col, row in self.rows.items():
+        if p is None:
+            inv = rem[pivot].invert()
+            rem = {k: v * inv for k, v in rem.items()}
+        else:
+            inv = pow(rem[pivot], -1, p)
+            rem = {k: v * inv % p for k, v in rem.items()}
+        for row in self.rows.values():
             c = row.get(pivot)
             if c:
-                for j, v in rem.items():
-                    acc = row.get(j)
-                    s = -c * v if acc is None else acc - c * v
-                    if s:
-                        row[j] = s
-                    elif acc is not None:
-                        del row[j]
+                self._subtract(row, c, rem)
         self.rows[pivot] = rem
         return True
 
 
-def nullspace(rows, ncols, ctx):
-    """Basis of the solution space of a sparse homogeneous system.
+def nullspace(rows, ncols, ctx=None, p=None):
+    """Basis of the solution space of a sparse homogeneous system, over the
+    field of ``ctx`` or, when ``p`` is given, over F_p.
 
     ``rows`` is a list of dict vectors {column: coefficient}; returns a list
-    of dense solution vectors.
+    of dict solution vectors, one per free column, with zero entries absent.
     """
-    ech = SparseEchelon()
+    ech = SparseEchelon(p)
     for row in rows:
         ech.insert(row)
-    pivots = ech.rows
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free_cols:
-        vec = [ctx.zero] * ncols
-        vec[fc] = ctx.one
-        for pcol, row in pivots.items():
-            c = row.get(fc)
-            if c:
-                vec[pcol] = -c
-        basis.append(vec)
-    return basis
-
-
-# -- residues mod a prime ----------------------------------------------------
-#
-# Reduction to F_p can only lower a rank, so these helpers give one-sided
-# certificates: a full rank mod p proves full rank over the field, and any
-# other outcome decides nothing.
+    one = ctx.one if p is None else 1
+    return [{fc: one, **{pc: -row[fc] if p is None else p - row[fc]
+                         for pc, row in ech.rows.items() if fc in row}}
+            for fc in range(ncols) if fc not in ech.rows]
 
 
 def mat_residues(a):
-    """Entrywise ``CycNum.residue`` of a matrix, or None if an entry has none."""
+    """Entrywise ``CycNum.residue`` of a matrix, or None if an entry has none.
+
+    Reduction to F_p can only lower a rank, so a full rank of the residues
+    proves full rank over the field, and any other outcome decides nothing.
+    """
     out = []
     for row in a:
         res = [c.residue() if c else 0 for c in row]
@@ -202,54 +203,3 @@ def mat_residues(a):
             return None
         out.append(res)
     return out
-
-
-class ModEchelon:
-    """``SparseEchelon`` over F_p: the same incremental reduced row echelon
-    form, on dict vectors of integers taken mod p."""
-
-    def __init__(self, p):
-        self.p = p
-        self.rows = {}
-
-    def __len__(self):
-        return len(self.rows)
-
-    def insert(self, vec):
-        """Add vec to the span; returns True if it enlarged the span."""
-        p, rows = self.p, self.rows
-        vec = {k: v % p for k, v in vec.items()}
-        for col in list(vec):
-            c = vec.get(col)
-            row = rows.get(col)
-            if not c or row is None:
-                continue
-            for j, v in row.items():
-                vec[j] = (vec.get(j, 0) - c * v) % p
-        rem = {k: v for k, v in vec.items() if v}
-        if not rem:
-            return False
-        pivot = min(rem)
-        inv = pow(rem[pivot], -1, p)
-        rem = {k: v * inv % p for k, v in rem.items()}
-        for row in rows.values():
-            c = row.get(pivot)
-            if c:
-                for j, v in rem.items():
-                    s = (row.get(j, 0) - c * v) % p
-                    if s:
-                        row[j] = s
-                    else:
-                        del row[j]
-        rows[pivot] = rem
-        return True
-
-
-def mod_nullspace(a, p):
-    """``nullspace`` over F_p: a basis of {x : a x = 0} for a matrix of
-    residues, as dict vectors."""
-    ech = ModEchelon(p)
-    for row in a:
-        ech.insert({j: x for j, x in enumerate(row) if x})
-    return [{fc: 1, **{pc: p - row[fc] for pc, row in ech.rows.items() if fc in row}}
-            for fc in range(len(a[0])) if fc not in ech.rows]

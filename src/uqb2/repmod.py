@@ -230,18 +230,15 @@ def word_span(gens, p=None, start=None):
     the span is full or stops growing.  A ``start`` vector (indices below d)
     is spun: its products are vector-matrix products, and the span reaches
     at most d, not d*d.  Over F_p (``p`` given, entries residues) the entries
-    are reduced mod p and the span is a ``ModEchelon``; otherwise it is a
-    ``SparseEchelon`` over the field.  A scalar generator is left out: c*W
-    adds nothing to a span that holds W.
+    are reduced mod p.  A scalar generator is left out: c*W adds nothing to a
+    span that holds W.
     """
     d = len(gens[0])
     target = d * d if start is None else d
     rows = [linalg.nonzero_rows(G) for G in gens if linalg.scalar_of(G) is None]
-    if p is None:
-        span, one = linalg.SparseEchelon(), gens[0][0][0].ctx.one
-    else:
-        span, one = linalg.ModEchelon(p), 1
+    span = linalg.SparseEchelon(p)
     if start is None:
+        one = gens[0][0][0].ctx.one if p is None else 1
         start = {i * d + i: one for i in range(d)}
     span.insert(start)
     frontier = [start]
@@ -301,8 +298,9 @@ def norton_test(gens, p):
         return False
     A = [[(x - lam) % p if i == j else x for j, x in enumerate(row)]
          for i, row in enumerate(theta)]
-    (v,), (w,) = linalg.mod_nullspace(list(zip(*A)), p), linalg.mod_nullspace(A, p)
     d = len(A)
+    (v,), (w,) = (linalg.nullspace([dict(r) for r in linalg.nonzero_rows(a)], d, p=p)
+                  for a in (zip(*A), A))
     transposes = [list(zip(*G)) for G in gens]
     return word_span(gens, p, v) == d and word_span(transposes, p, w) == d
 

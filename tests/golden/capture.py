@@ -78,6 +78,12 @@ CORPUS = {
                           "--params", "q,q^2,2,q^3"],
     "check_module_m20_V2p": ["check-module", "--m", "20", "--family", "V2p",
                              "--params", "q,2,q^3"],
+    "iso_m8_V1": ["iso", "--m", "8", "--family", "V1",
+                  "--params1", "1,q^-2,1,1", "--params2", "1,1,1,0"],
+    "iso_m8_V3p": ["iso", "--m", "8", "--family", "V3p",
+                   "--params1", "1,q", "--params2", "1,q"],
+    "iso_m7_V4p": ["iso", "--m", "7", "--family", "V4p",
+                   "--params1", "1,0,q", "--params2", "1,0,q"],
 }
 
 

@@ -174,13 +174,3 @@ def test_span_lost_mod_p_falls_back(context_factory):
     assert not isoclass._full_rank_mod_p(rep, other)
     assert isoclass.find_intertwiner(rep, other) is None
     assert not isoclass.iso_predicate(ctx, rep.params, other.params).isomorphic
-
-
-def test_mod_echelon_rank():
-    ech = linalg.ModEchelon(7)
-    assert ech.insert({0: 1, 1: 2})
-    assert ech.insert({1: 3, 2: 1})
-    assert not ech.insert({0: 1, 1: 5, 2: 1})  # first + second
-    assert not ech.insert({0: 7, 2: 14})  # zero mod 7
-    assert ech.insert({2: 6})
-    assert len(ech) == 3

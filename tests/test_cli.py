@@ -204,6 +204,22 @@ def test_arithmetic_error_is_a_usage_error(capsys):
         assert "Traceback" not in err
 
 
+_FLAT_SUM = "+".join(["e1"] * 1500)
+
+
+@pytest.mark.parametrize("argv", [
+    ["nf", "--m", "5", "--", "(" * 250 + "1" + ")" * 250],
+    ["nf", "--m", "5", "--", "-" * 1200 + "e1"],
+    ["nf", "--m", "5", "--", _FLAT_SUM],
+    ["simple", "--m", "5", "--family", "V1p", "--params", _FLAT_SUM + ",1,1,0"],
+], ids=["parentheses", "minus-signs", "flat-sum", "simple-params"])
+def test_expression_past_the_nesting_limit_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out is None
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("m", ["-3", "0", "4"])
 def test_every_subcommand_rejects_small_m(capsys, m):
     for argv in (

@@ -1,7 +1,8 @@
-"""The nonzero-only matrix kernels, the sparse word closure and Norton's test
-against dense references written out here: the triple-loop product, the
-entrywise sum and difference, the O(d^3) intertwiner system and a closure of
-dense words over every generator, scalar ones included.
+"""The nonzero-only matrix kernels, the elimination kernel, the sparse word
+closure and Norton's test against dense references written out here: the
+triple-loop product, the entrywise sum and difference, Gaussian elimination
+on a dense copy, the O(d^3) intertwiner system and a closure of dense words
+over every generator, scalar ones included.
 """
 
 import dataclasses
@@ -103,6 +104,73 @@ def test_system_rows_match_the_dense_definition(context_factory, m):
                 _dense_system_rows(act1, act2, d), (m, family)
 
 
+def _dense_rank(rows, ncols, p=None):
+    """Rank of integer dict rows by Gaussian elimination on a dense copy, over
+    F_p or, when p is None, over Q in ``Fraction`` arithmetic."""
+    canon = Fraction if p is None else (lambda x: x % p)
+    a = [[canon(row.get(j, 0)) for j in range(ncols)] for row in rows]
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = 1 / a[rank][col] if p is None else pow(a[rank][col], -1, p)
+        for i in range(rank + 1, len(a)):
+            c = a[i][col] * inv
+            a[i] = [canon(x - c * y) for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+def _random_systems(p, count=40):
+    # entries in (-p, 2p), as unreduced differences of residues can be
+    rng = random.Random(p)
+    systems = []
+    for _ in range(count):
+        ncols = rng.randint(1, 10)
+        systems.append(([{j: rng.randrange(1 - p, 2 * p)
+                          for j in rng.sample(range(ncols), rng.randint(0, ncols))}
+                         for _ in range(rng.randint(1, 12))], ncols))
+    return systems
+
+
+# (rows, ncols): two pivots, their sum, a row that is zero mod 7 and a third
+# pivot, so the inserts enlarge the span, twice, then not, twice, then once
+_FIXED_MOD_7 = ([{0: 1, 1: 2}, {1: 3, 2: 1}, {0: 1, 1: 5, 2: 1}, {0: 7, 2: 14}, {2: 6}], 3)
+
+
+@pytest.mark.parametrize("p, systems", [
+    (7, [_FIXED_MOD_7]),
+    (7, _random_systems(7)),
+    (11, _random_systems(11)),
+    (None, _random_systems(7) + _random_systems(11)),
+], ids=["fixed-F7", "F7", "F11", "Q"])
+def test_elimination_matches_dense_rank(context_factory, p, systems):
+    """``SparseEchelon`` and ``nullspace`` over F_p and over the field: every
+    insert grows the span exactly when the dense rank grows, and the
+    ncols - rank solution vectors annihilate every row."""
+    ctx = context_factory(5)
+    zero = ctx.zero if p is None else 0
+    for rows, ncols in systems:
+        lifted = [{j: ctx.scalar(x) for j, x in row.items()} for row in rows] if p is None else rows
+        ech, rank = linalg.SparseEchelon(p), 0
+        for i, row in enumerate(lifted):
+            grew = _dense_rank(rows[:i + 1], ncols, p) > rank
+            assert ech.insert(row) == grew, (p, rows)
+            rank += grew
+        assert len(ech) == rank
+        basis = linalg.nullspace(lifted, ncols, ctx, p)
+        assert len(basis) == ncols - rank, (p, rows)
+        for vec in basis:
+            for row in lifted:
+                dot = sum((x * vec[j] for j, x in row.items() if j in vec), zero)
+                assert not (dot if p is None else dot % p), (p, rows, vec)
+            if p is not None:
+                assert all(0 < x < p for x in vec.values())
+                assert all(0 <= x < p for row in ech.rows.values() for x in row.values())
+
+
 def _dense_closure(gens, p=None):
     """Span dimension of all words, as dense matrices, in every generator."""
     d = len(gens[0])
@@ -111,7 +179,7 @@ def _dense_closure(gens, p=None):
         span, canon = linalg.SparseEchelon(), lambda x: x
     else:
         zero, one = 0, 1
-        span, canon = linalg.ModEchelon(p), lambda x: x % p
+        span, canon = linalg.SparseEchelon(p), lambda x: x % p
 
     def vec(M):
         return {i * d + j: x for i, row in enumerate(M) for j, x in enumerate(row) if x}

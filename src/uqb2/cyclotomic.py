@@ -162,17 +162,6 @@ class FieldContext:
         d = self.degree
         # x^d == -(phi_0 + phi_1 x + ... + phi_{d-1} x^{d-1}); iterate upward.
         base = [-c for c in self.phi[:d]]
-        red = [base]
-        for _ in range(d - 2):
-            prev = red[-1]
-            nxt = [0] + prev[:-1]
-            top = prev[-1]
-            if top:
-                for i in range(d):
-                    nxt[i] += top * base[i]
-            red.append(nxt)
-        self._red = [tuple(r) for r in red]
-
         powers = []
         cur = [1] + [0] * (d - 1)
         for _ in range(m):
@@ -195,6 +184,13 @@ class FieldContext:
     def q_pow(self, k):
         """q^k for any integer k (negative exponents wrap around)."""
         return CycNum(self, self._qpow[k % self.m], 1)
+
+    def laurent(self, coeff):
+        """The scalar sum of n q^e over a {e: n} mapping, in integer arithmetic."""
+        total = [0] * self.degree
+        for e, n in coeff.items():
+            total = [a + n * b for a, b in zip(total, self._qpow[e % self.m])]
+        return CycNum(self, tuple(total), 1)
 
     def from_int(self, n):
         d = self.degree
@@ -231,10 +227,7 @@ class FieldContext:
         """
         if step % self.m == 0:
             raise ValueError("bracket step must not be divisible by m")
-        total = [0] * self.degree
-        for i in range(k % self.ord_q_pow(step)):
-            total = [a + b for a, b in zip(total, self._qpow[step * i % self.m])]
-        return CycNum(self, tuple(total), 1)
+        return self.laurent(dict.fromkeys(range(0, step * (k % self.ord_q_pow(step)), step), 1))
 
 
 def field_init(m):
@@ -243,13 +236,15 @@ def field_init(m):
 
 
 def _mul_int(ctx, a, b):
-    """Product of two integer power-basis vectors, reduced modulo Phi_m."""
-    d = ctx.degree
+    """Product of two integer power-basis vectors, reduced modulo Phi_m:
+    x^k for k >= d is the row of q^(k mod m) in the q-power table."""
+    d, m, qpow = ctx.degree, ctx.m, ctx._qpow
     conv = _poly_mul_int(a, b)
     out = conv[:d]
-    for k, row in enumerate(ctx._red, d):
+    for k in range(d, len(conv)):
         c = conv[k]
         if c:
+            row = qpow[k % m]
             for i in range(d):
                 out[i] += c * row[i]
     return out

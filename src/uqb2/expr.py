@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 
-from . import structure
+from .pbw import GENERATOR_NAMES, PBWAlgebra, evaluate_letters
 
 IDENTIFIERS = ("e1", "e2", "e3", "z", "zt", "z1", "zp", "q")
 
@@ -176,11 +176,9 @@ def _eval(node, alg):
         name = node[1]
         if name == "q":
             return alg.scalar(alg.ctx.q)
-        if name in ("e1", "e2", "e3", "z"):
+        if name in GENERATOR_NAMES:
             return alg.generator(name)
-        return structure.named(
-            alg, {"zt": "z_tilde", "z1": "z_one", "zp": "z_prime"}[name]
-        )
+        return evaluate_letters((name,), dict(zip(GENERATOR_NAMES, alg.generators())), alg.ctx)[0]
     if head == "add":
         return _eval(node[1], alg) + _eval(node[2], alg)
     if head == "sub":
@@ -197,14 +195,12 @@ def _eval(node, alg):
         k = node[2]
         if k >= 0:
             return base ** k
-        return alg.scalar(base.as_scalar().invert() ** (-k))
+        return alg.scalar(base.as_scalar() ** k)
     raise ValueError("malformed expression node %r" % (node,))
 
 
 def eval_scalar(src, ctx):
     """Evaluate source text that must denote a field scalar."""
-    from .pbw import PBWAlgebra
-
     return evaluate(parse(src), PBWAlgebra(ctx)).as_scalar()
 
 

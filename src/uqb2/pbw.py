@@ -26,7 +26,8 @@ and ``SUBALGEBRA_RELATIONS``, and ``evaluate_relations`` evaluates them on
 any images of the letters: PBW elements, torus elements or matrices.  The
 rewrite rules above are written by hand and never read the table; the table
 is what the engine, the torus realization and the modules are checked
-against.
+against.  The distinguished elements zt, z1 and zp are written once beside
+it, in ``DEFINITIONS``, and built on the same images (``evaluate_letters``).
 """
 
 from __future__ import annotations
@@ -83,33 +84,71 @@ SUBALGEBRA_RELATIONS = (
 )
 
 
-def evaluate_relations(relations, images, ctx, mul=operator.mul, scale=operator.mul,
-                       add=operator.add, sub=operator.sub):
-    """Each relation paired with its residual, in order, with every letter
-    sent to its entry in ``images``.
+# the distinguished elements, each a relation solved for its first letter,
+# which is the sum of the other terms over minus its coefficient:
+#
+#     e3c = e1 e2 - q^2 e2 e1          (e3 as a commutator)
+#     zc  = e2 e3 - q^2 e3 e2          (z as a commutator)
+#     zt  = e2 e3 + z / (q^2 - 1)      (normal in the e2-e3-z subalgebra)
+#     z1  = e1 zt + e3^2 / (q^4 - 1)   (central)
+#     zp  = e1 w - q^4 w e1,  w = z + (q^2 - 1) e3 e2
+#
+# ``name`` is the key of ``structure.named``
+DEFINITIONS = (
+    Relation("e3_as_commutator", None, (({0: -1}, "e3c"), ({0: 1}, "e1 e2"), ({2: -1}, "e2 e1"))),
+    Relation("z_as_commutator", None, (({0: -1}, "zc"), ({0: 1}, "e2 e3"), ({2: -1}, "e3 e2"))),
+    Relation("z_tilde", None, (({0: 1, 2: -1}, "zt"), ({2: 1, 0: -1}, "e2 e3"), ({0: 1}, "z"))),
+    Relation("z_one", None, (({0: 1, 4: -1}, "z1"), ({4: 1, 0: -1}, "e1 zt"), ({0: 1}, "e3 e3"))),
+    Relation("w", None, (({0: -1}, "w"), ({0: 1}, "z"), ({2: 1, 0: -1}, "e3 e2"))),
+    Relation("z_prime", None, (({0: -1}, "zp"), ({0: 1}, "e1 w"), ({4: -1}, "w e1"))),
+)
 
-    ``mul``, ``scale``, ``add`` and ``sub`` are the product of two images, the
-    multiple of one by a field scalar, their sum and their difference: the
-    element operators by default, the ``linalg`` functions for matrices.
-    """
-    one = ctx.one
-    out = []
-    for rel in relations:
-        total = None
-        for coeff, word in rel.terms:
-            letters = word.split()
-            x = images[letters[0]]
-            for letter in letters[1:]:
-                x = mul(x, images[letter])
-            # after the first term a negative coefficient is subtracted, so the
-            # scalar is more often a unit q^k: -q^k is not one at odd m
-            sign = 1 if total is None or any(n > 0 for n in coeff.values()) else -1
-            c = sum((sign * n * ctx.q_pow(e) for e, n in coeff.items()), ctx.zero)
-            if c != one:
-                x = scale(x, c)
-            total = x if total is None else (add if sign > 0 else sub)(total, x)
-        out.append((rel, total))
-    return out
+# the product of two images, the multiple of one by a scalar, their sum and difference
+ELEMENT_OPS = (operator.mul, operator.mul, operator.add, operator.sub)
+
+
+def _letter(letter, images, ctx, ops):
+    """The image of ``letter``; one missing from ``images`` is evaluated from
+    ``DEFINITIONS`` and added to ``images``, so it is built once."""
+    if letter not in images:
+        (c0, _), *rest = next(r.terms for r in DEFINITIONS if r.terms[0][1] == letter)
+        over = -ctx.laurent(c0)
+        images[letter] = _combine(rest, images, ctx, ops,
+                                  ctx.one if over == ctx.one else over.invert())
+    return images[letter]
+
+
+def _combine(terms, images, ctx, ops, factor):
+    """The sum of coefficient * factor * word over ``terms``."""
+    mul, scale, add, sub = ops
+    total = None
+    for coeff, word in terms:
+        x = None
+        for letter in word.split():
+            y = _letter(letter, images, ctx, ops)
+            x = y if x is None else mul(x, y)
+        # after the first term a negative coefficient is subtracted, so the
+        # scalar is more often a unit q^k: -q^k is not one at odd m
+        sign = 1 if total is None or any(n > 0 for n in coeff.values()) else -1
+        c = ctx.laurent({e: sign * n for e, n in coeff.items()}) * factor
+        if c != ctx.one:
+            x = scale(x, c)
+        total = x if total is None else (add if sign > 0 else sub)(total, x)
+    return total
+
+
+def evaluate_relations(relations, images, ctx, ops=ELEMENT_OPS):
+    """Each relation paired with its residual, in order, with every letter
+    sent to its entry in ``images`` or, failing that, to its definition."""
+    images = dict(images)
+    return [(rel, _combine(rel.terms, images, ctx, ops, ctx.one)) for rel in relations]
+
+
+def evaluate_letters(letters, images, ctx, ops=ELEMENT_OPS):
+    """The value of each of ``letters``, in order: its entry in ``images`` or
+    its definition, evaluated as ``evaluate_relations`` does."""
+    images = dict(images)
+    return [_letter(x, images, ctx, ops) for x in letters]
 
 
 _UNIT = (0, 0, 0, 0)

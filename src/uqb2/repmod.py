@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from . import linalg
 from .cyclotomic import residue_map
-from .pbw import FULL_RELATIONS, SUBALGEBRA_RELATIONS, PBWElement, evaluate_relations
+from .pbw import (FULL_RELATIONS, SUBALGEBRA_RELATIONS, PBWElement, evaluate_letters,
+                  evaluate_relations)
 
 FAMILIES = ("V1", "V2", "V3", "V1p", "V2p", "V3p", "V4p")
 
@@ -180,11 +181,15 @@ def direct_sum(r1, r2):
                           summands=(r1, r2))
 
 
+def _matrix_ops():
+    """``pbw.ELEMENT_OPS`` for matrices, read at call time so wrappers on ``linalg`` see them."""
+    return linalg.mat_mul, linalg.mat_scale, linalg.mat_add, linalg.mat_sub
+
+
 def relation_residuals(rep):
     """Matrix residual of every defining relation of the relevant presentation."""
     relations = FULL_RELATIONS if "e2" in rep.act else SUBALGEBRA_RELATIONS
-    residuals = evaluate_relations(relations, rep.act, rep.ctx, linalg.mat_mul,
-                                   linalg.mat_scale, linalg.mat_add, linalg.mat_sub)
+    residuals = evaluate_relations(relations, rep.act, rep.ctx, _matrix_ops())
     return {rel.name: r for rel, r in residuals}
 
 
@@ -366,14 +371,7 @@ def central_character(rep):
     act = rep.act
     mp = lambda M, n: linalg.mat_pow(ctx, M, n)
     if "e2" in act:
-        q2 = ctx.q_pow(2)
-        zt = linalg.mat_add(
-            linalg.mat_mul(act["e2"], act["e3"]),
-            linalg.mat_scale(act["z"], (q2 - 1).invert()),
-        )
-        e1zt = linalg.mat_mul(act["e1"], zt)
-        e3sq = linalg.mat_mul(act["e3"], act["e3"])
-        z1 = linalg.mat_add(e1zt, linalg.mat_scale(e3sq, (ctx.q_pow(4) - 1).invert()))
+        zt, z1 = evaluate_letters(("zt", "z1"), act, ctx, _matrix_ops())
         items = {
             "e1^l": mp(act["e1"], l),
             "e2^l": mp(act["e2"], l),

@@ -1,44 +1,24 @@
 """Derived structural elements and their commutation properties.
 
-Builds the distinguished elements
-
-    e3  = e1 e2 - q^2 e2 e1          (commutator form of the generator)
-    z   = e2 e3 - q^2 e3 e2
-    zt  = e2 e3 + z / (q^2 - 1)      (normal in the e2-e3-z subalgebra)
-    z1  = e1 zt + e3^2 / (q^4 - 1)   (central)
-    zp  = e1 w - q^4 w e1,  w = z + (q^2 - 1) e3 e2
-
-and verifies the twisted commutation relations they satisfy, the
-normal-element condition for quotient constructions, and centrality both in
-the full algebra and in the subalgebra generated by e1, e3, z, zt.
-``zt_power_identity(alg, n)`` returns the residuals of the two zt
+``named`` evaluates the distinguished elements of ``pbw.DEFINITIONS`` on the
+generators.  This module verifies the twisted commutation relations they
+satisfy, the normal-element condition for quotient constructions, and
+centrality both in the full algebra and in the subalgebra generated by e1,
+e3, z, zt; ``zt_power_identity(alg, n)`` returns the residuals of the two zt
 power-commutation identities for every a = 1..n in one pass.
 """
 
 from __future__ import annotations
 
-NAMED = ("e3_as_commutator", "z_as_commutator", "z_tilde", "z_one", "z_prime")
+from .pbw import DEFINITIONS, GENERATOR_NAMES, evaluate_letters
 
 
 def named(alg, name):
-    """PBW normal form of one of the distinguished elements."""
-    ctx = alg.ctx
-    e1 = alg.generator("e1")
-    e2 = alg.generator("e2")
-    e3 = alg.generator("e3")
-    z = alg.generator("z")
-    if name == "e3_as_commutator":
-        return e1 * e2 - ctx.q_pow(2) * (e2 * e1)
-    if name == "z_as_commutator":
-        return e2 * e3 - ctx.q_pow(2) * (e3 * e2)
-    if name == "z_tilde":
-        return e2 * e3 + z * (ctx.q_pow(2) - 1).invert()
-    if name == "z_one":
-        zt = named(alg, "z_tilde")
-        return e1 * zt + e3 * e3 * (ctx.q_pow(4) - 1).invert()
-    if name == "z_prime":
-        w = z + (ctx.q_pow(2) - 1) * (e3 * e2)
-        return e1 * w - ctx.q_pow(4) * (w * e1)
+    """PBW normal form of the element ``pbw.DEFINITIONS`` defines under ``name``."""
+    for rel in DEFINITIONS:
+        if rel.name == name:
+            images = dict(zip(GENERATOR_NAMES, alg.generators()))
+            return evaluate_letters((rel.terms[0][1],), images, alg.ctx)[0]
     raise ValueError("unknown named element %r" % (name,))
 
 

@@ -19,7 +19,8 @@ commutation matrix below is fixed by the relation list
 from __future__ import annotations
 
 from .lattice import NAMED_MATRICES
-from .pbw import FULL_RELATIONS, GENERATOR_NAMES, SparseElement, evaluate_relations
+from .pbw import (FULL_RELATIONS, GENERATOR_NAMES, SparseElement, evaluate_letters,
+                  evaluate_relations)
 
 TORUS_COMMUTATION = (
     (0, -2, 0, 2),
@@ -163,28 +164,17 @@ def embedding_image(torus, gname):
     raise ValueError("unknown generator %r" % (gname,))
 
 
-def embedded_z_prime(torus):
-    """Image of the bracket expression e1 w - q^4 w e1, w = z + (q^2-1) e3 e2."""
-    ctx = torus.ctx
-    E1 = embedding_image(torus, "e1")
-    E2 = embedding_image(torus, "e2")
-    E3 = embedding_image(torus, "e3")
-    Z = embedding_image(torus, "z")
-    w = Z + (ctx.q_pow(2) - 1) * (E3 * E2)
-    return E1 * w - ctx.q_pow(4) * (w * E1)
-
-
 def verify_embedding(ctx):
     """Residuals of all defining relations under the torus realization.
 
     Returns a report whose ``residuals`` are all expected to vanish; the
-    comparison of the embedded bracket expression with the monomial X2 X4 X1
-    is computed and reported alongside rather than asserted.
+    comparison of the image of zp (``pbw.DEFINITIONS``) with the monomial
+    X2 X4 X1 is computed and reported alongside rather than asserted.
     """
     torus = quantum_torus(ctx)
     images = {g: embedding_image(torus, g) for g in GENERATOR_NAMES}
     residuals = {rel.torus_name: r for rel, r in evaluate_relations(FULL_RELATIONS, images, ctx)}
-    zp_image = embedded_z_prime(torus)
+    (zp_image,) = evaluate_letters(("zp",), images, ctx)
     X1, X2, _, X4 = (torus.gen(i) for i in range(4))
     reference = X2 * X4 * X1
     return {

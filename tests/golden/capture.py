@@ -84,6 +84,13 @@ CORPUS = {
                    "--params1", "1,q", "--params2", "1,q"],
     "iso_m7_V4p": ["iso", "--m", "7", "--family", "V4p",
                    "--params1", "1,0,q", "--params2", "1,0,q"],
+    "nf_m7_named": ["nf", "--m", "7", "z1*zp-zt^2"],
+    "central_m8_zp": ["central", "--m", "8", "zp"],
+    "torus_check_m8": ["torus-check", "--m", "8"],
+    "character_m9_V2": ["character", "--m", "9", "--family", "V2",
+                        "--params", "q^2,2/(q+1),q"],
+    "character_m8_V1": ["character", "--m", "8", "--family", "V1",
+                        "--params", "1/(q+1),q^-1,2,1/3"],
 }
 
 

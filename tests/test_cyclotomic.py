@@ -48,6 +48,17 @@ def test_q_pow_additive_in_exponent():
         assert ctx.q_pow(k1) * ctx.q_pow(k2) == ctx.q_pow(k1 + k2)
 
 
+@pytest.mark.parametrize("m", [5, 6, 9, 12, 30])
+def test_laurent_matches_the_sum_of_q_powers(m):
+    ctx = field_init(m)
+    random.seed(m)
+    for _ in range(50):
+        coeff = {random.randrange(-3 * m, 3 * m): random.randrange(-9, 10) for _ in range(4)}
+        want = sum((n * ctx.q_pow(e) for e, n in coeff.items()), ctx.zero)
+        assert ctx.laurent(coeff) == want, coeff
+    assert ctx.laurent({}) == ctx.zero
+
+
 def test_ord_q_pow():
     assert field_init(6).ord_q_pow(2) == 3
     assert field_init(8).ord_q_pow(4) == 2

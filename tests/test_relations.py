@@ -1,12 +1,17 @@
 """The relation table in ``uqb2.pbw`` is what every relation check reads.
 
 A coefficient changed in the table must be seen by all three consumers: the
-PBW engine's Serre residuals, ``torus-check`` and ``check-module``.
+PBW engine's Serre residuals, ``torus-check`` and ``check-module``.  Likewise
+an entry of the definitions table beside it must be seen by every consumer of
+zt, z1 and zp: ``structure.named``, the expression evaluator, ``torus-check``,
+``center-report`` and ``repmod.central_character``.
 """
 
 import json
 
-from uqb2 import cli, pbw
+import pytest
+
+from uqb2 import cli, expr, linalg, pbw, repmod, structure
 from uqb2.cyclotomic import field_init
 
 
@@ -23,6 +28,7 @@ def test_table_sizes():
     assert len(pbw.FULL_RELATIONS) == 8
     assert len(pbw.SUBALGEBRA_RELATIONS) == 6
     assert all(rel.torus_name for rel in pbw.FULL_RELATIONS)
+    assert [rel.terms[0][1] for rel in pbw.DEFINITIONS] == ["e3c", "zc", "zt", "z1", "w", "zp"]
 
 
 def test_serre_mutation_seen_by_every_consumer(monkeypatch, capsys):
@@ -55,3 +61,52 @@ def test_subalgebra_mutation_seen_by_check_module(monkeypatch, capsys):
     assert out["relations_zero"]["zt*e1-e1*zt+e3^2"] is False
     assert sum(not ok for ok in out["relations_zero"].values()) == 1
 
+
+def test_definition_residuals_vanish():
+    # each definition is a relation: with its letter evaluated from the table,
+    # its residual is zero on PBW elements and on the action of a full module
+    ctx = field_init(7)
+    alg = pbw.PBWAlgebra(ctx)
+    gens = {g: alg.generator(g) for g in pbw.GENERATOR_NAMES}
+    assert all(r.is_zero() for _, r in pbw.evaluate_relations(pbw.DEFINITIONS, gens, ctx))
+    rep = repmod.build(ctx, repmod.module_params(ctx, "V2p", 1, 2, ctx.q))
+    ops = (linalg.mat_mul, linalg.mat_scale, linalg.mat_add, linalg.mat_sub)
+    residuals = pbw.evaluate_relations(pbw.DEFINITIONS, rep.act, ctx, ops)
+    assert all(linalg.is_zero_matrix(r) for _, r in residuals)
+
+
+def test_z_prime_mutation_seen_by_every_consumer(monkeypatch, capsys):
+    alg = pbw.PBWAlgebra(field_init(8))
+    before = structure.named(alg, "z_prime")
+    coeff = _table_entry(pbw.DEFINITIONS, "z_prime").terms[2][0]
+    # zp = e1 w - q^4 w e1 becomes e1 w - q^2 w e1
+    monkeypatch.delitem(coeff, 4)
+    monkeypatch.setitem(coeff, 2, -1)
+
+    # zp is reported, not contracted: both commands still pass
+    code, out = _run(capsys, "torus-check", "--m", "8")
+    assert code == 0
+    assert out["bracket_image_equals_X2X4X1"] is False
+    assert all(out["relation_images_zero"].values())
+
+    code, out = _run(capsys, "center-report", "--m", "8")
+    assert code == 0
+    assert out["central"]["zp"] is False
+    assert out["zp_witness"] is not None
+
+    assert structure.named(alg, "z_prime") != before
+
+
+def test_z_tilde_mutation_seen_by_every_consumer(monkeypatch):
+    ctx = field_init(7)
+    alg = pbw.PBWAlgebra(ctx)
+    before = expr.evaluate("zt", alg)
+    rep = repmod.build(ctx, repmod.module_params(ctx, "V1p", ctx.q, ctx.q_pow(2), 2, ctx.q_pow(3)))
+    assert "z1" in repmod.central_character(rep)
+    # zt = e2 e3 + z/(q^2 - 1) becomes e2 e3 + 2 z/(q^2 - 1)
+    monkeypatch.setitem(_table_entry(pbw.DEFINITIONS, "z_tilde").terms[2][0], 0, 2)
+
+    assert expr.evaluate("zt", alg) != before
+    # zt moves by a scalar matrix, so z1 moves by a multiple of the shift e1
+    with pytest.raises(ArithmeticError, match="z1 failed"):
+        repmod.central_character(rep)

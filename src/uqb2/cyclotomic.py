@@ -363,12 +363,14 @@ class CycNum:
         With a = A/den, the conjugates sigma_j(A) (q -> q^j, gcd(j, m) = 1)
         are read off the q-power table and multiplied into P pairwise; then
         N = A*P is a rational integer and 1/a = den*P/N, in integer
-        arithmetic throughout.
+        arithmetic throughout.  A unit q^k is inverted as q^(-k).
         """
         if self.is_zero():
             raise ZeroDivisionError("cannot invert zero")
         ctx = self.ctx
         m, A = ctx.m, self.num
+        if self.den == 1 and A in ctx._unit_exp:
+            return ctx.q_pow(-ctx._unit_exp[A])
         factors = [_substitute(ctx, A, j, 0) for j in range(2, m) if math.gcd(j, m) == 1]
         # pairwise, so that the two operands of a product have similar sizes
         while len(factors) > 1:

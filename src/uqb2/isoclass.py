@@ -4,8 +4,8 @@ Two routes that must agree: a parameter predicate scanning the witness range
 p in [0, l-1] for the closed-form matching equations of each family, and an
 independent brute-force intertwiner solver that looks for an invertible T
 with A_g T = T B_g for all generator actions (row-vector right modules, so
-such a T is exactly a module isomorphism).  The solver rules out an
-intertwiner mod p first, when it can, and otherwise solves exactly.
+such a T is exactly a module isomorphism).  The solver spins one eigenvector
+mod p (the MeatAxe isomorphism test) and only then solves for T exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .repmod import base_family, build, residue_action
+from .repmod import (base_family, build, choose_theta, eigenvectors, replay, residue_action,
+                     spin, word_matrix)
 
 
 @dataclass
@@ -78,14 +79,14 @@ def iso_witnesses(ctx, params1, params2):
     return [p for p in range(ctx.l) if _witness(ctx, kind, params1, params2, p)]
 
 
+def _commute(act1, act2, T, p=None):
+    """True iff A_g T = T B_g for every generator g, over F_p when ``p`` is given."""
+    return all(linalg.mat_mul(act1[g], T, p) == linalg.mat_mul(T, act2[g], p) for g in act1)
+
+
 def intertwines(r1, r2, T):
     """True iff A_g T = T B_g for every generator action."""
-    for gname in r1.act:
-        lhs = linalg.mat_mul(r1.act[gname], T)
-        rhs = linalg.mat_mul(T, r2.act[gname])
-        if lhs != rhs:
-            return False
-    return True
+    return _commute(r1.act, r2.act, T)
 
 
 def _system_rows(act1, act2, d):
@@ -113,20 +114,59 @@ def _system_rows(act1, act2, d):
     return rows
 
 
-def _full_rank_mod_p(r1, r2):
-    """True when the system has rank d*d over F_p, which proves T = 0 is its
-    only solution over the field; False decides nothing."""
-    d = r1.dim
+def _solve(basis1, basis2, zero, p=None):
+    """T with B1 T = B2 for the rows of B1 and B2, or None when B1 is singular."""
+    d, ech = len(basis1), linalg.SparseEchelon(p)
+    for u, w in zip(basis1, basis2):
+        ech.insert({**u, **{d + j: x for j, x in w.items()}})
+    if any(k not in ech.rows for k in range(d)):
+        return None
+    return [[ech.rows[k].get(d + j, zero) for j in range(d)] for k in range(d)]
+
+
+def _spin_intertwiner(r1, r2):
+    """The MeatAxe isomorphism test: ``(True, T or None)`` when it decides,
+    ``(False, None)`` when the system in all d*d entries of T must.
+
+    theta (``choose_theta`` on r1 mod p) has a simple eigenvalue lambda; v1
+    and v2 span the null spaces of theta - lambda on r1 and r2.  An invertible
+    T makes the two thetas similar, so nullity 0 on r2 rules it out.  Any
+    intertwiner sends v1 to a multiple of v2, so once v1 spins to the whole
+    space (basis B1) it is a multiple of the T with B1 T = B2, the same words
+    on v2.  A nonzero intertwiner over the field reduces to a nonzero one mod
+    p, so a T mod p that does not intertwine rules T out too.
+    """
     reduced1, reduced2 = residue_action(r1), residue_action(r2)
     if reduced1 is None or reduced2 is None:
-        return False
-    p = reduced1[0]
-    ech = linalg.SparseEchelon(p)
-    for row in _system_rows(reduced1[1], reduced2[1], d):
-        ech.insert(row)
-        if len(ech) == d * d:
-            return True
-    return False
+        return False, None
+    p, d, names = reduced1[0], r1.dim, list(r1.act)
+    gens1, gens2 = ([red[1][g] for g in names] for red in (reduced1, reduced2))
+    chosen = choose_theta(gens1, p)
+    if chosen is None:
+        return False, None
+    word, theta, i = chosen
+    null2 = eigenvectors(word_matrix(gens2, word, p), theta[i][i], p=p)
+    if not null2:
+        return True, None
+    basis1, words = spin(gens1, p, eigenvectors(theta, theta[i][i], p=p)[0])
+    if len(null2) > 1 or len(words) < d:
+        return False, None
+    T = _solve(basis1, replay(gens2, null2[0], words, p), 0, p)
+    if not _commute(reduced1[1], reduced2[1], T, p):
+        return True, None
+    full_rank = linalg.mat_rank(T, p) == d  # then so is the rank of the exact T
+    exact = [[r.act[g] for g in names] for r in (r1, r2)]
+    thetas = [word_matrix(gens, word) for gens in exact]
+    null1, null2 = (eigenvectors(t, thetas[0][i][i], r1.ctx) for t in thetas)
+    if len(null1) != 1 or len(null2) != 1:
+        return False, None
+    T = _solve(replay(exact[0], null1[0], words), replay(exact[1], null2[0], words), r1.ctx.zero)
+    if T is None:
+        return False, None
+    if not intertwines(r1, r2, T) or not (full_rank or linalg.is_invertible(T)):
+        return True, None
+    last = next(x for row in reversed(T) for x in reversed(row) if x)
+    return True, linalg.mat_scale(T, last.invert())
 
 
 # q-power weighted combinations of a solution basis tried for invertibility
@@ -136,29 +176,20 @@ _COMBINATIONS = 8
 def find_intertwiner(r1, r2):
     """Invertible solution T of the joint system A_g T = T B_g, or None.
 
-    A system of full rank mod p has only T = 0 as solution, so None is
-    returned at once.  Otherwise the solution space is computed exactly;
-    between simple modules it has dimension at most one, so testing its basis
-    decides.  For non-simple inputs with a solution space of dimension > 1, a
-    fixed deterministic set of combinations is tried as well, which can in
-    principle miss an invertible element (documented limitation; never
-    triggered by the simple families this package builds).
+    ``_spin_intertwiner`` decides every pair of simple modules this package
+    builds.  Other inputs, such as direct sums, solve for all d*d entries of
+    T exactly, then try the solution basis and a fixed set of combinations,
+    which can in principle miss an invertible one.  T is scaled as the exact
+    nullspace scales a basis vector: its last nonzero entry (row-major) is 1.
     """
     if r1.dim != r2.dim or set(r1.act) != set(r2.act):
         return None
-    if _full_rank_mod_p(r1, r2):
-        return None
-    ctx = r1.ctx
-    d = r1.dim
-    rows = _system_rows(r1.act, r2.act, d)
-    basis = linalg.nullspace(rows, d * d, ctx)
-    if not basis:
-        return None
-
-    def devec(vec):
-        return [[vec.get(i * d + j, ctx.zero) for j in range(d)] for i in range(d)]
-
-    mats = [devec(v) for v in basis]
+    decided, T = _spin_intertwiner(r1, r2)
+    if decided:
+        return T
+    ctx, d = r1.ctx, r1.dim
+    basis = linalg.nullspace(_system_rows(r1.act, r2.act, d), d * d, ctx)
+    mats = [[[v.get(i * d + j, ctx.zero) for j in range(d)] for i in range(d)] for v in basis]
     for T in mats:
         if linalg.is_invertible(T):
             return T

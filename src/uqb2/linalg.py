@@ -100,9 +100,9 @@ def scalar_of(a):
     return c
 
 
-def mat_rank(a):
-    """Rank by exact elimination of the rows in a ``SparseEchelon``."""
-    ech = SparseEchelon()
+def mat_rank(a, p=None):
+    """Rank by elimination of the rows in a ``SparseEchelon``, over F_p when ``p`` is given."""
+    ech = SparseEchelon(p)
     for row in a:
         ech.insert({j: c for j, c in enumerate(row) if c})
     return len(ech)

@@ -225,89 +225,116 @@ def residue_action(rep):
     return p, act
 
 
-def word_span(gens, p=None, start=None):
-    """Dimension of the span of all words in the d x d matrices ``gens``,
-    applied to ``start`` (the identity by default).
+def _times(W, G, d, p):
+    """The vectorized word W times a generator held as its nonzero rows."""
+    out = {}
+    for idx, x in W.items():
+        j = idx % d
+        base = idx - j
+        for k, y in G[j]:
+            key = base + k
+            acc = out.get(key)
+            out[key] = x * y if acc is None else acc + x * y
+    if p is not None:
+        out = {k: v % p for k, v in out.items()}
+    return {k: v for k, v in out.items() if v}
 
-    Words are sparse vectorized dicts {i*d + j: entry}.  The words new in one
-    layer are right-multiplied by every generator, held as the nonzero
-    ``(column, entry)`` pairs of its rows, and inserted breadth first until
-    the span is full or stops growing.  A ``start`` vector (indices below d)
-    is spun: its products are vector-matrix products, and the span reaches
-    at most d, not d*d.  Over F_p (``p`` given, entries residues) the entries
-    are reduced mod p.  A scalar generator is left out: c*W adds nothing to a
-    span that holds W.
+
+def spin(gens, p=None, start=None):
+    """Basis of the span of all words in the d x d matrices ``gens``, applied
+    to ``start`` (the identity by default), and ``words[n] = (k, g)``: basis
+    vector n is vector k times ``gens[g]`` (``words[0]`` is None).
+
+    Words are sparse vectorized dicts {i*d + j: entry}, multiplied by the
+    nonzero ``(column, entry)`` pairs of each generator row and inserted
+    breadth first until the span is full or stops growing.  A ``start``
+    vector (indices below d) spans at most d, not d*d.  Over F_p (``p``
+    given, entries residues) entries are reduced mod p.  A scalar generator
+    is left out: c*W adds nothing to a span that holds W.
     """
     d = len(gens[0])
     target = d * d if start is None else d
-    rows = [linalg.nonzero_rows(G) for G in gens if linalg.scalar_of(G) is None]
+    rows = [(g, linalg.nonzero_rows(G)) for g, G in enumerate(gens) if linalg.scalar_of(G) is None]
     span = linalg.SparseEchelon(p)
     if start is None:
         one = gens[0][0][0].ctx.one if p is None else 1
         start = {i * d + i: one for i in range(d)}
     span.insert(start)
-    frontier = [start]
-    while frontier and len(span) < target:
-        nxt = []
-        for W in frontier:
-            for G in rows:
-                out = {}
-                for idx, x in W.items():
-                    j = idx % d
-                    base = idx - j
-                    for k, y in G[j]:
-                        key = base + k
-                        acc = out.get(key)
-                        out[key] = x * y if acc is None else acc + x * y
-                if p is not None:
-                    out = {k: v % p for k, v in out.items()}
-                P = {k: v for k, v in out.items() if v}
-                if span.insert(P):
-                    nxt.append(P)
-                    if len(span) == target:
-                        break
-            if len(span) == target:
-                break
-        frontier = nxt
-    return len(span)
+    basis, words, k = [start], [None], 0
+    while k < len(basis) < target:
+        for g, G in rows:
+            P = _times(basis[k], G, d, p)
+            if span.insert(P):
+                basis.append(P)
+                words.append((k, g))
+                if len(basis) == target:
+                    break
+        k += 1
+    return basis, words
 
 
-def _simple_diagonal_entry(theta):
-    """The first entry occurring once on the diagonal of theta if theta is
-    triangular, else None."""
-    if any(x for i, row in enumerate(theta) for x in row[:i]) and \
-            any(x for i, row in enumerate(theta) for x in row[i + 1:]):
-        return None
-    diag = [row[i] for i, row in enumerate(theta)]
-    return next((x for x in diag if diag.count(x) == 1), None)
+def word_span(gens, p=None, start=None):
+    """Dimension of the span that ``spin`` finds."""
+    return len(spin(gens, p, start)[0])
+
+
+def replay(gens, start, words, p=None):
+    """The words that ``spin`` recorded, applied to ``start`` under ``gens``."""
+    rows = {g: linalg.nonzero_rows(gens[g]) for _, g in words[1:]}
+    out = [start]
+    for k, g in words[1:]:
+        out.append(_times(out[k], rows[g], len(gens[0]), p))
+    return out
+
+
+def word_matrix(gens, word, p=None):
+    """The product of the matrices ``gens[g]`` for g in ``word`` (length 1 or 2)."""
+    return gens[word[0]] if len(word) == 1 else linalg.mat_mul(gens[word[0]], gens[word[1]], p)
+
+
+def choose_theta(gens, p):
+    """``(word, theta, i)``: theta is the first non-scalar generator, else the
+    first product G*H mod p of two distinct non-scalar ones, that is
+    triangular with a diagonal entry theta[i][i] occurring once; ``word``
+    holds the indices of its factors in ``gens``.  None if there is none.
+    """
+    idx = [g for g, G in enumerate(gens) if linalg.scalar_of(G) is None]
+    for word in itertools.chain(((g,) for g in idx), ((g, h) for g in idx for h in idx if g != h)):
+        theta = word_matrix(gens, word, p)
+        lower = any(x for i, row in enumerate(theta) for x in row[:i])
+        if lower and any(x for i, row in enumerate(theta) for x in row[i + 1:]):
+            continue
+        # v theta = theta[i][i] v puts v on e_0..e_i (lower) or e_i..e_(d-1): keep v short
+        diag = [row[i] for i, row in enumerate(theta)]
+        once = [i for i, x in enumerate(diag) if diag.count(x) == 1]
+        if once:
+            return word, theta, once[0 if lower else -1]
+    return None
+
+
+def eigenvectors(theta, lam, ctx=None, p=None):
+    """Basis of the row vectors v with v theta = lam v, over ``ctx`` or F_p."""
+    rows = [{i: x - lam if i == j else x for i, x in enumerate(col) if x or i == j}
+            for j, col in enumerate(zip(*theta))]
+    return linalg.nullspace(rows, len(theta), ctx, p)
 
 
 def norton_test(gens, p):
     """Norton's irreducibility test on residue matrices over F_p.
 
-    theta is the first non-scalar generator, else the first product G*H mod p
-    of two distinct non-scalar ones, that is triangular with a diagonal entry
-    lambda occurring once.  Then theta - lambda has nullity 1 over F_p and its
-    algebraic closure: v(theta - lambda) = 0 and w(theta - lambda)^T = 0.  If
-    v spins to F_p^d under the generators and w under their transposes, every
+    With theta and lambda = theta[i][i] from ``choose_theta``, theta - lambda
+    has nullity 1: v(theta - lambda) = 0 and w(theta - lambda)^T = 0.  If v
+    spins to F_p^d under the generators and w under their transposes, every
     submodule over the closure contains v or has a quotient whose dual
     contains w, so the module is absolutely irreducible.  True only then.
     """
-    gens = [G for G in gens if linalg.scalar_of(G) is None]
-    products = (linalg.mat_mul(G, H, p) for G in gens for H in gens if G is not H)
-    for theta in itertools.chain(gens, products):
-        lam = _simple_diagonal_entry(theta)
-        if lam is not None:
-            break
-    else:
+    chosen = choose_theta(gens, p)
+    if chosen is None:
         return False
-    A = [[(x - lam) % p if i == j else x for j, x in enumerate(row)]
-         for i, row in enumerate(theta)]
-    d = len(A)
-    (v,), (w,) = (linalg.nullspace([dict(r) for r in linalg.nonzero_rows(a)], d, p=p)
-                  for a in (zip(*A), A))
-    transposes = [list(zip(*G)) for G in gens]
-    return word_span(gens, p, v) == d and word_span(transposes, p, w) == d
+    _, theta, i = chosen
+    d = len(theta)
+    (v,), (w,) = (eigenvectors(t, theta[i][i], p=p) for t in (theta, list(zip(*theta))))
+    return word_span(gens, p, v) == d and word_span([list(zip(*G)) for G in gens], p, w) == d
 
 
 def is_simple(rep):

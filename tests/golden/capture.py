@@ -91,6 +91,8 @@ CORPUS = {
                         "--params", "q^2,2/(q+1),q"],
     "character_m8_V1": ["character", "--m", "8", "--family", "V1",
                         "--params", "1/(q+1),q^-1,2,1/3"],
+    "iso_m29_V1p_shift3": ["iso", "--m", "29", "--family", "V1p",
+                           "--params1", "q^2,q^-6,1,1+q^-4+q^-8", "--params2", "1,1,1,0"],
 }
 
 

@@ -1,9 +1,9 @@
 """The modular certificates of is_simple and find_intertwiner against the
 exact computations they stand in front of.
 
-A full rank mod p proves full rank over Q(zeta_m); every other outcome must
-fall back to the exact path, which alone reports a span below d*d or an
-intertwiner.
+A full rank mod p proves full rank over Q(zeta_m), and a spun eigenvector
+decides an intertwiner; every other outcome must fall back to the exact
+path, which alone reports a span below d*d.
 """
 
 from fractions import Fraction
@@ -42,6 +42,10 @@ def _exact_solutions(r1, r2):
     return linalg.nullspace(rows, r1.dim ** 2, r1.ctx)
 
 
+def _as_matrix(vec, ctx, d):
+    return [[vec.get(i * d + j, ctx.zero) for j in range(d)] for i in range(d)]
+
+
 @pytest.mark.parametrize("m", MS)
 def test_modular_simplicity_matches_exact_span(context_factory, m):
     ctx = context_factory(m)
@@ -59,14 +63,14 @@ def test_modular_intertwiner_verdict_matches_exact(context_factory, m):
     for family in repmod.FAMILIES:
         first, second = _params(ctx, family)
         r1, r2 = _module(ctx, family, first), _module(ctx, family, second)
-        # distinct parameters: the certificate decides, and the exact system agrees
-        assert isoclass._full_rank_mod_p(r1, r2), (m, family)
+        # distinct parameters: ruled out by the spin, and the exact system agrees
+        assert isoclass._spin_intertwiner(r1, r2) == (True, None), (m, family)
         assert isoclass.find_intertwiner(r1, r2) is None
         assert _exact_solutions(r1, r2) == []
-        # equal parameters: no certificate, and the exact path finds T
-        assert not isoclass._full_rank_mod_p(r1, r1)
-        T = isoclass.find_intertwiner(r1, r1)
-        assert T is not None and isoclass.intertwines(r1, r1, T)
+        # equal parameters: the spin finds T, the one exact solution
+        decided, T = isoclass._spin_intertwiner(r1, r1)
+        assert decided and T is not None and isoclass.intertwines(r1, r1, T)
+        assert isoclass.find_intertwiner(r1, r1) == T
         assert len(_exact_solutions(r1, r1)) == 1
 
 
@@ -91,12 +95,12 @@ def _summand_cert_matches_exact(M, N, span):
     assert _exact_span(total) == span
 
 
-def _isomorphic_v1p_pair(ctx):
+def _isomorphic_v1p_pair(ctx, family="V1p"):
     # the V1 witness equations at p = 1: beta1 = q^-2 beta2 and
     # delta1 = delta2 + [1]_(-4) beta2^2
     q = ctx.q
-    M = _module(ctx, "V1p", (q, 1, 1, 0))
-    N = _module(ctx, "V1p", (q, q ** 2, 1, -ctx.q_bracket(1, -4) * q ** 4))
+    M = _module(ctx, family, (q, 1, 1, 0))
+    N = _module(ctx, family, (q, q ** 2, 1, -ctx.q_bracket(1, -4) * q ** 4))
     assert isoclass.iso_predicate(ctx, M.params, N.params).witness_p == 1
     assert M.act != N.act
     return M, N
@@ -152,13 +156,14 @@ def test_parameter_with_denominator_p_falls_back(context_factory, m):
     cert = repmod.is_simple(rep)
     assert cert == repmod.SimplicityCertificate(True, rep.dim ** 2, "exact")
     other = _module(ctx, "V1p", (1, 1, 2 * small, 0))
-    assert not isoclass._full_rank_mod_p(rep, other)
+    # no residues, so nothing is decided mod p
+    assert isoclass._spin_intertwiner(rep, other) == (False, None)
     assert isoclass.find_intertwiner(rep, other) is None
     T = isoclass.find_intertwiner(rep, rep)
     assert T is not None and isoclass.intertwines(rep, rep, T)
 
 
-def test_span_lost_mod_p_falls_back(context_factory):
+def test_span_lost_mod_p_falls_back(context_factory, system_rows_calls):
     # alpha = p vanishes mod p, and with it every entry of V4p but the
     # nilpotent shift in e2: the span mod p stays below d*d, the exact one
     # does not
@@ -171,6 +176,42 @@ def test_span_lost_mod_p_falls_back(context_factory):
     assert repmod.is_simple(rep) == repmod.SimplicityCertificate(True, d * d, "exact")
     # equal mod p, not isomorphic over the field
     other = _module(ctx, "V4p", (2 * p, 0, 0))
-    assert not isoclass._full_rank_mod_p(rep, other)
+    assert isoclass._spin_intertwiner(rep, other) == (False, None)
     assert isoclass.find_intertwiner(rep, other) is None
     assert not isoclass.iso_predicate(ctx, rep.params, other.params).isomorphic
+    assert len(system_rows_calls) == 1
+
+
+def _pairs(ctx, family):
+    modules = [_module(ctx, family, vals) for vals in _params(ctx, family)]
+    pairs = [(a, b) for a in modules for b in modules]
+    if family in ("V1", "V1p"):
+        pairs.append(_isomorphic_v1p_pair(ctx, family))  # isomorphic, unequal matrices
+    return pairs
+
+
+@pytest.mark.parametrize("m", MS)
+def test_family_pairs_never_reach_the_exact_system(context_factory, monkeypatch, m):
+    def no_system(*args):
+        raise AssertionError("the d*d-unknown system was built")
+
+    monkeypatch.setattr(isoclass, "_system_rows", no_system)
+    ctx = context_factory(m)
+    for family in repmod.FAMILIES:
+        for r1, r2 in _pairs(ctx, family):
+            T = isoclass.find_intertwiner(r1, r2)
+            iso = isoclass.iso_predicate(ctx, r1.params, r2.params).isomorphic
+            assert iso == (T is not None), (m, family, r1.params, r2.params)
+
+
+@pytest.mark.parametrize("m", MS)
+def test_spun_intertwiner_is_the_scaled_exact_solution(context_factory, m):
+    # the one basis vector of the exact solution space has last nonzero
+    # entry 1 in row-major order, and T must be that vector, byte for byte
+    ctx = context_factory(m)
+    for family in repmod.FAMILIES:
+        for r1, r2 in _pairs(ctx, family):
+            T = isoclass.find_intertwiner(r1, r2)
+            if T is not None:
+                (vec,) = _exact_solutions(r1, r2)
+                assert T == _as_matrix(vec, ctx, r1.dim), (m, family)

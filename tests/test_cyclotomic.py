@@ -113,6 +113,18 @@ def test_norm_inverse_on_large_random_scalars(m):
         assert inv.invert() == a
 
 
+@pytest.mark.parametrize("m", (5, 7, 8, 12, 30))
+def test_unit_inverse_matches_the_norm_inverse(m, monkeypatch):
+    ctx = field_init(m)
+    units = [ctx.q_pow(k) for k in range(m)]
+    fast = [u.invert() for u in units]
+    # with no unit table every inverse takes the norm product
+    monkeypatch.setattr(ctx, "_unit_exp", {})
+    for k, (u, inv) in enumerate(zip(units, fast)):
+        assert inv == u.invert(), (m, k)
+        assert (inv.num, inv.den) == (ctx.q_pow(-k).num, 1)
+
+
 @pytest.mark.parametrize("m", range(5, 37))
 def test_q_bracket_matches_its_defining_quotient(m):
     ctx = field_init(m)

@@ -178,14 +178,18 @@ def test_verdict_carries_intertwiner(context_factory):
 
 @pytest.mark.parametrize("m", [5, 8])
 @pytest.mark.parametrize("family", ["V1p", "V2p", "V3p", "V4p"])
-def test_intertwiner_of_a_sum_of_two_simples_is_a_combination(context_factory, m, family):
+def test_intertwiner_of_a_sum_of_two_simples_is_a_combination(context_factory,
+                                                               system_rows_calls, m, family):
     # End(A + B) for simple A, B that are not isomorphic is spanned by the two
     # projections, both singular, so only a combination of the nullspace basis
-    # is invertible
+    # is invertible; the spin of one eigenvector stays inside one summand, so
+    # the exact system decides
     ctx = context_factory(m)
     pa, pb = conformance._sample_params(ctx, family)
     S = repmod.direct_sum(repmod.build(ctx, pa), repmod.build(ctx, pb))
+    assert isoclass._spin_intertwiner(S, S) == (False, None)
     T = isoclass.find_intertwiner(S, S)
+    assert len(system_rows_calls) == 1
     assert T is not None
     assert isoclass.intertwines(S, S, T)
     assert linalg.is_invertible(T)

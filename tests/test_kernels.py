@@ -266,9 +266,10 @@ E01, E10 = [[0, 1], [0, 0]], [[0, 0], [1, 0]]
 @pytest.mark.parametrize("x", ([[1, 0], [0, 2]], [[2, 0], [0, 1]]))
 @pytest.mark.parametrize("y", (E01, E10))
 def test_norton_declines_on_a_reducible_plane(x, y):
-    # with y = E01 (e0 -> e1) the null vector e0 spins to all of V and only
-    # the dual spin finds the submodule <e1>; with y = E10 the dual null
-    # vector spins to all of V* and only the spin of e0 finds <e0>
+    # theta = x is diagonal, so lambda = x[1][1] and both null vectors are
+    # e1: with y = E01 (e0 -> e1) the spin of e1 is the submodule <e1> and
+    # the dual spin reaches all of V*; with y = E10 e1 spins to all of V and
+    # only the dual spin finds the submodule <e0>
     p = 7
     assert _dense_closure([x, y], p) == 3
     assert not repmod.norton_test([x, y], p)

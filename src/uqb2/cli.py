@@ -32,8 +32,9 @@ def element_json(x):
     return [term_json(key, x.terms[key]) for key in sorted(x.terms)]
 
 
-def matrix_json(M):
-    return [[scalar_json(c) for c in row] for row in M]
+def matrix_json(M, zero):
+    """A square matrix as d rows of d scalars, ``zero`` where a row holds no entry."""
+    return [[scalar_json(row.get(j, zero)) for j in range(len(M))] for row in M]
 
 
 def _emit(payload):
@@ -100,7 +101,7 @@ def cmd_build_module(args):
         "family": args.family,
         "dim": r.dim,
         "generators": list(r.act),
-        "matrices": {g: matrix_json(M) for g, M in r.act.items()},
+        "matrices": {g: matrix_json(M, ctx.zero) for g, M in r.act.items()},
     })
     return 0
 
@@ -158,7 +159,7 @@ def cmd_iso(args):
         "family": args.family,
         "isomorphic": verdict.isomorphic,
         "witness_p": verdict.witness_p,
-        "intertwiner": matrix_json(verdict.intertwiner) if verdict.intertwiner else None,
+        "intertwiner": matrix_json(verdict.intertwiner, ctx.zero) if verdict.intertwiner else None,
     })
     return 0
 

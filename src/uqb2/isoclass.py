@@ -92,19 +92,18 @@ def intertwines(r1, r2, T):
 def _system_rows(act1, act2, d):
     """Sparse rows {column: coefficient} of A_g T - T B_g = 0 in the entries of T.
 
-    Row (i, j) is built from the nonzero entries of row i of A_g and column j
-    of B_g, so one generator costs O(d^2 * nnz) rather than O(d^3).  Works on
-    field scalars and on residues mod p alike: each coefficient is one entry,
-    or the difference A[i][i] - B[j][j] of two.
+    Row (i, j) is built from row i of A_g and row j of the transpose of B_g,
+    so one generator costs O(d^2 * nnz) rather than O(d^3).  Works on field
+    scalars and on residues mod p alike: each coefficient is one entry, or
+    the difference A[i][i] - B[j][j] of two.
     """
     rows = []
     for gname in sorted(act1):
-        arows = linalg.nonzero_rows(act1[gname])
-        bcols = linalg.nonzero_rows(zip(*act2[gname]))
-        for i, arow in enumerate(arows):
+        bcols = linalg.transpose(act2[gname])
+        for i, arow in enumerate(act1[gname]):
             for j, bcol in enumerate(bcols):
-                row = {k * d + j: x for k, x in arow}
-                for k, y in bcol:
+                row = {k * d + j: x for k, x in arow.items()}
+                for k, y in bcol.items():
                     col = i * d + k
                     x = row.get(col)
                     row[col] = -y if x is None else x - y
@@ -114,14 +113,14 @@ def _system_rows(act1, act2, d):
     return rows
 
 
-def _solve(basis1, basis2, zero, p=None):
+def _solve(basis1, basis2, p=None):
     """T with B1 T = B2 for the rows of B1 and B2, or None when B1 is singular."""
     d, ech = len(basis1), linalg.SparseEchelon(p)
     for u, w in zip(basis1, basis2):
         ech.insert({**u, **{d + j: x for j, x in w.items()}})
     if any(k not in ech.rows for k in range(d)):
         return None
-    return [[ech.rows[k].get(d + j, zero) for j in range(d)] for k in range(d)]
+    return [{j - d: x for j, x in ech.rows[k].items() if j >= d} for k in range(d)]
 
 
 def _spin_intertwiner(r1, r2):
@@ -145,28 +144,30 @@ def _spin_intertwiner(r1, r2):
     if chosen is None:
         return False, None
     word, theta, i = chosen
-    null2 = eigenvectors(word_matrix(gens2, word, p), theta[i][i], p=p)
+    lam = theta[i].get(i, 0)
+    null2 = eigenvectors(word_matrix(gens2, word, p), lam, p=p)
     if not null2:
         return True, None
-    basis1, words = spin(gens1, p, eigenvectors(theta, theta[i][i], p=p)[0])
+    basis1, words = spin(gens1, p, eigenvectors(theta, lam, p=p)[0])
     if len(null2) > 1 or len(words) < d:
         return False, None
-    T = _solve(basis1, replay(gens2, null2[0], words, p), 0, p)
+    T = _solve(basis1, replay(gens2, null2[0], words, p), p)
     if not _commute(reduced1[1], reduced2[1], T, p):
         return True, None
     full_rank = linalg.mat_rank(T, p) == d  # then so is the rank of the exact T
     exact = [[r.act[g] for g in names] for r in (r1, r2)]
     thetas = [word_matrix(gens, word) for gens in exact]
-    null1, null2 = (eigenvectors(t, thetas[0][i][i], r1.ctx) for t in thetas)
+    lam = thetas[0][i].get(i, r1.ctx.zero)
+    null1, null2 = (eigenvectors(t, lam, r1.ctx) for t in thetas)
     if len(null1) != 1 or len(null2) != 1:
         return False, None
-    T = _solve(replay(exact[0], null1[0], words), replay(exact[1], null2[0], words), r1.ctx.zero)
+    T = _solve(replay(exact[0], null1[0], words), replay(exact[1], null2[0], words))
     if T is None:
         return False, None
     if not intertwines(r1, r2, T) or not (full_rank or linalg.is_invertible(T)):
         return True, None
-    last = next(x for row in reversed(T) for x in reversed(row) if x)
-    return True, linalg.mat_scale(T, last.invert())
+    last = next(row for row in reversed(T) if row)
+    return True, linalg.mat_scale(T, last[max(last)].invert())
 
 
 # q-power weighted combinations of a solution basis tried for invertibility
@@ -189,14 +190,14 @@ def find_intertwiner(r1, r2):
         return T
     ctx, d = r1.ctx, r1.dim
     basis = linalg.nullspace(_system_rows(r1.act, r2.act, d), d * d, ctx)
-    mats = [[[v.get(i * d + j, ctx.zero) for j in range(d)] for i in range(d)] for v in basis]
+    mats = [[{k % d: x for k, x in v.items() if k // d == i} for i in range(d)] for v in basis]
     for T in mats:
         if linalg.is_invertible(T):
             return T
     if len(mats) > 1:
         # deterministic combinations with q-power weights
         for t in range(1, _COMBINATIONS + 1):
-            combo = linalg.zero_matrix(ctx, d)
+            combo = linalg.zero_matrix(d)
             for s, M in enumerate(mats):
                 combo = linalg.mat_add(combo, linalg.mat_scale(M, ctx.q_pow(t * (s + 1)) + t))
             if linalg.is_invertible(combo):
@@ -219,7 +220,7 @@ def explicit_shift_intertwiner(ctx, params1, params2, p):
     """The closed-form isomorphism v_k -> (a1^-1 a2)^k v_(k+p) for V1-type pairs."""
     d = ctx.l
     c = params1.alpha.invert() * params2.alpha
-    T = linalg.zero_matrix(ctx, d)
+    T = linalg.zero_matrix(d)
     acc = ctx.one
     for k in range(d):
         T[k][(k + p) % d] = acc

@@ -1,72 +1,79 @@
 """Small exact linear algebra helpers over a cyclotomic field context or F_p.
 
-Matrices are plain lists of lists of field scalars, or of integer residues
-mod a prime p.  Everything here is elimination-based and exact; sparse dict
-vectors are used where the callers (module simplicity certification,
-intertwiner solving) produce mostly-zero data.  One elimination kernel,
-``SparseEchelon`` with ``nullspace`` on top, serves both rings: given ``p``
-it works over F_p.  The action matrices have at most two nonzeros per row, so
-the kernels touch nonzero entries only: ``mat_mul`` walks the nonzero
-``(column, entry)`` pairs of each right-factor row, and ``mat_add``/``mat_sub``
-return an entry as it is when the other one is zero, so a zero never costs a
-field sum.
+A matrix is a list of d rows, and row i is a dict {column: entry} holding
+exactly the nonzero entries: field scalars, or integer residues in [1, p)
+mod a prime p.  No zero is ever stored, so two matrices are equal exactly
+when their rows are, and the kernels touch nonzero entries only: ``mat_mul``
+walks the rows of a into the rows of b (Gustavson's row-wise product), and
+``mat_add``/``mat_sub`` merge rows and delete entries that cancel.  One exact
+elimination kernel, ``SparseEchelon`` with ``nullspace`` on top, serves both
+rings: given ``p`` it works over F_p.
 """
 
 from __future__ import annotations
 
+import operator
 
-def zero_matrix(ctx, n):
-    z = ctx.zero
-    return [[z] * n for _ in range(n)]
+
+def zero_matrix(n):
+    return [{} for _ in range(n)]
+
+
+def scalar_matrix(n, c):
+    return [{i: c} for i in range(n)] if c else zero_matrix(n)
 
 
 def identity(ctx, n):
-    out = zero_matrix(ctx, n)
-    for i in range(n):
-        out[i][i] = ctx.one
+    return scalar_matrix(n, ctx.one)
+
+
+def transpose(a):
+    """The transpose of the square matrix a."""
+    out = zero_matrix(len(a))
+    for i, row in enumerate(a):
+        for j, x in row.items():
+            out[j][i] = x
     return out
 
 
-def scalar_matrix(ctx, n, c):
-    out = zero_matrix(ctx, n)
-    for i in range(n):
-        out[i][i] = c
+def _merge(a, b, op, lone):
+    """Row by row, op(x, y) where both hold an entry and lone(y) where only b does."""
+    out = [dict(row) for row in a]
+    for row, rb in zip(out, b):
+        for j, y in rb.items():
+            x = row.get(j)
+            if x is None:
+                row[j] = lone(y)
+            elif x := op(x, y):
+                row[j] = x
+            else:
+                del row[j]
     return out
 
 
 def mat_add(a, b):
-    return [[(x + y if x else y) if y else x for x, y in zip(ra, rb)]
-            for ra, rb in zip(a, b)]
+    return _merge(a, b, operator.add, lambda y: y)
 
 
 def mat_sub(a, b):
-    return [[(x - y if x else -y) if y else x for x, y in zip(ra, rb)]
-            for ra, rb in zip(a, b)]
+    return _merge(a, b, operator.sub, operator.neg)
 
 
 def mat_scale(a, c):
-    return [[x and x * c for x in row] for row in a]
-
-
-def nonzero_rows(a):
-    """The nonzero ``(column, entry)`` pairs of each row of a."""
-    return [[(j, x) for j, x in enumerate(row) if x] for row in a]
+    return [{j: x * c for j, x in row.items()} for row in a] if c else zero_matrix(len(a))
 
 
 def mat_mul(a, b, p=None):
-    """a*b over the field, or over F_p when ``p`` is given (entries residues)."""
-    m = len(b[0])
-    zero = 0 if p is not None else a[0][0].ctx.zero if a else None
-    bnz = nonzero_rows(b)
+    """a*b over the field, or over F_p when ``p`` is given (entries residues):
+    each entry a[i][k] scales row k of b into row i of the product."""
     out = []
     for arow in a:
-        row = [zero] * m
-        for c, brow in zip(arow, bnz):
-            if c:
-                for j, x in brow:
-                    y = row[j]
-                    row[j] = y + c * x if y else c * x
-        out.append(row if p is None else [x % p for x in row])
+        row = {}
+        for k, c in arow.items():
+            for j, x in b[k].items():
+                y = row.get(j)
+                row[j] = c * x if y is None else y + c * x
+        out.append({j: r for j, x in row.items() if (r := x if p is None else x % p)})
     return out
 
 
@@ -83,28 +90,23 @@ def mat_pow(ctx, a, n):
 
 
 def is_zero_matrix(a):
-    return all(not x for row in a for x in row)
+    return not any(a)
 
 
-def scalar_of(a):
-    """The scalar c with a == c * I, or None if a is not a scalar matrix."""
-    n = len(a)
-    c = a[0][0]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                if a[i][j] != c:
-                    return None
-            elif a[i][j]:
-                return None
-    return c
+def scalar_of(a, zero=0):
+    """The scalar c with a == c * I (``zero`` for the zero matrix), or None
+    if a is not a scalar matrix."""
+    c = a[0].get(0)
+    if c is None:
+        return None if any(a) else zero
+    return c if all(len(row) == 1 and row.get(i) == c for i, row in enumerate(a)) else None
 
 
 def mat_rank(a, p=None):
     """Rank by elimination of the rows in a ``SparseEchelon``, over F_p when ``p`` is given."""
     ech = SparseEchelon(p)
     for row in a:
-        ech.insert({j: c for j, c in enumerate(row) if c})
+        ech.insert(row)
     return len(ech)
 
 
@@ -191,15 +193,16 @@ def nullspace(rows, ncols, ctx=None, p=None):
 
 
 def mat_residues(a):
-    """Entrywise ``CycNum.residue`` of a matrix, or None if an entry has none.
+    """Entrywise ``CycNum.residue`` of a matrix, with entries whose residue
+    is 0 left out, or None if an entry has none.
 
     Reduction to F_p can only lower a rank, so a full rank of the residues
     proves full rank over the field, and any other outcome decides nothing.
     """
     out = []
     for row in a:
-        res = [c.residue() if c else 0 for c in row]
-        if None in res:
+        res = {j: c.residue() for j, c in row.items()}
+        if None in res.values():
             return None
-        out.append(res)
+        out.append({j: r for j, r in res.items() if r})
     return out

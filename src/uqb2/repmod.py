@@ -6,7 +6,9 @@ primed families V1p, V2p, V3p extend them to modules over the full algebra
 through e2 = (zt - z/(q^2-1)) e3^(-1), and V4p covers the case where e3 acts
 nilpotently.  All modules are right modules: the matrix of a generator g has
 row k listing the coefficients of v_k . g, so words act by left-to-right
-matrix products.
+matrix products.  Matrices are in the one format of ``linalg``: row k is a
+dict {column: coefficient} holding the nonzero coefficients only, and the
+constructions here write nonzero entries only.
 """
 
 from __future__ import annotations
@@ -108,40 +110,44 @@ def build(ctx, params):
     d = module_dimension(ctx, family)
     q = ctx.q_pow
     a, b, g, dl = params.alpha, params.beta, params.gamma, params.delta
-    e1, e3 = linalg.zero_matrix(ctx, d), linalg.zero_matrix(ctx, d)
+    e1, e3 = linalg.zero_matrix(d), linalg.zero_matrix(d)
     base = base_family(family)
     if base == "V4p":
-        e2 = linalg.zero_matrix(ctx, d)
+        e2 = linalg.zero_matrix(d)
         den_inv = ((q(4) - 1) * (q(2) - 1)).invert()
         for k in range(d):
-            e1[k][k] = b * q(-2 * k)
+            if b:
+                e1[k][k] = b * q(-2 * k)
             if k >= 2:
                 e1[k][k - 2] = (
                     -q(-2 * (k - 1)) * ((q(2 * k) - 1) * (q(2 * (k - 1)) - 1) * den_inv) * a
                 )
             if k != d - 1:
                 e2[k][k + 1] = ctx.one
-            else:
+            elif g:
                 e2[k][0] = g
             if k:
                 e3[k][k - 1] = a * ctx.q_bracket(k, 2)
         return Representation(family, params, d, {
-            "e1": e1, "e2": e2, "e3": e3, "z": linalg.scalar_matrix(ctx, d, a)}, ctx)
+            "e1": e1, "e2": e2, "e3": e3, "z": linalg.scalar_matrix(d, a)}, ctx)
     # e3 = diag(q^(step*k) * unit) and z = central * 1
     step, unit, central = {"V1": (-2, b, g), "V2": (2, b, g), "V3": (2, a, b)}[base]
-    zt = linalg.zero_matrix(ctx, d)
+    zt = linalg.zero_matrix(d)
     for k in range(d):
         e3[k][k] = q(step * k) * unit
     if base == "V1":
         ainv = a.invert()
         for k in range(d):
             e1[k][(k + 1) % d] = a
-            zt[k][(k - 1) % d] = ainv * (dl + ctx.q_bracket(k, -4) * b * b)
+            x = ainv * (dl + ctx.q_bracket(k, -4) * b * b)
+            if x:
+                zt[k][(k - 1) % d] = x
     elif base == "V2":
         ainv = a.invert()
         for k in range(d):
-            if k:
-                e1[k][k - 1] = ainv * b * b * (-ctx.q_bracket(k, 4))
+            x = k and ainv * b * b * (-ctx.q_bracket(k, 4))
+            if x:  # [k]_4 = 0 at k = l/2 too when l is even
+                e1[k][k - 1] = x
             zt[k][(k + 1) % d] = a
     else:
         for k in range(d):
@@ -149,15 +155,17 @@ def build(ctx, params):
                 e1[k][k - 1] = a * a * (-ctx.q_bracket(k, 4))
             if k != d - 1:
                 zt[k][k + 1] = ctx.one
-    z = linalg.scalar_matrix(ctx, d, central)
+    z = linalg.scalar_matrix(d, central)
     if family == base:
         return Representation(family, params, d, {"e1": e1, "e3": e3, "z": z, "zt": zt}, ctx)
     # e3^(-1) = diag(q^(-step*k) / unit)
     uinv = unit.invert()
-    e2 = [[x and x * q(-step * j) * uinv for j, x in enumerate(row)] for row in zt]
+    e2 = [{j: x * q(-step * j) * uinv for j, x in row.items()} for row in zt]
     zq = central * (q(2) - 1).invert()
-    for k in range(d):
-        e2[k][k] = e2[k][k] - zq * q(-step * k) * uinv
+    for k, row in enumerate(e2):
+        x = row.pop(k, ctx.zero) - zq * q(-step * k) * uinv
+        if x:
+            row[k] = x
     return Representation(family, params, d, {"e1": e1, "e2": e2, "e3": e3, "z": z}, ctx)
 
 
@@ -165,20 +173,12 @@ def direct_sum(r1, r2):
     """Block-diagonal sum; useful as a non-simple control."""
     if r1.generator_names != r2.generator_names or r1.ctx.m != r2.ctx.m:
         raise ValueError("summands are not over the same algebra")
-    ctx = r1.ctx
-    d = r1.dim + r2.dim
-    act = {}
-    for gname in r1.act:
-        M = linalg.zero_matrix(ctx, d)
-        for i in range(r1.dim):
-            for j in range(r1.dim):
-                M[i][j] = r1.act[gname][i][j]
-        for i in range(r2.dim):
-            for j in range(r2.dim):
-                M[r1.dim + i][r1.dim + j] = r2.act[gname][i][j]
-        act[gname] = M
-    return Representation(family="direct_sum", params=None, dim=d, act=act, ctx=ctx,
-                          summands=(r1, r2))
+    n = r1.dim
+    act = {g: [dict(row) for row in r1.act[g]] + [{n + j: x for j, x in row.items()}
+                                                  for row in r2.act[g]]
+           for g in r1.act}
+    return Representation(family="direct_sum", params=None, dim=n + r2.dim, act=act,
+                          ctx=r1.ctx, summands=(r1, r2))
 
 
 def _matrix_ops():
@@ -226,12 +226,12 @@ def residue_action(rep):
 
 
 def _times(W, G, d, p):
-    """The vectorized word W times a generator held as its nonzero rows."""
+    """The vectorized word W times the generator G."""
     out = {}
     for idx, x in W.items():
         j = idx % d
         base = idx - j
-        for k, y in G[j]:
+        for k, y in G[j].items():
             key = base + k
             acc = out.get(key)
             out[key] = x * y if acc is None else acc + x * y
@@ -246,18 +246,18 @@ def spin(gens, p=None, start=None):
     vector n is vector k times ``gens[g]`` (``words[0]`` is None).
 
     Words are sparse vectorized dicts {i*d + j: entry}, multiplied by the
-    nonzero ``(column, entry)`` pairs of each generator row and inserted
-    breadth first until the span is full or stops growing.  A ``start``
-    vector (indices below d) spans at most d, not d*d.  Over F_p (``p``
-    given, entries residues) entries are reduced mod p.  A scalar generator
-    is left out: c*W adds nothing to a span that holds W.
+    rows of each generator and inserted breadth first until the span is
+    full or stops growing.  A ``start`` vector (indices below d) spans at
+    most d, not d*d.  Over F_p (``p`` given, entries residues) entries are
+    reduced mod p.  A scalar generator is left out: c*W adds nothing to a
+    span that holds W.
     """
     d = len(gens[0])
     target = d * d if start is None else d
-    rows = [(g, linalg.nonzero_rows(G)) for g, G in enumerate(gens) if linalg.scalar_of(G) is None]
+    rows = [(g, G) for g, G in enumerate(gens) if linalg.scalar_of(G) is None]
     span = linalg.SparseEchelon(p)
     if start is None:
-        one = gens[0][0][0].ctx.one if p is None else 1
+        one = 1 if p is not None else next(x for G in gens for r in G for x in r.values()).ctx.one
         start = {i * d + i: one for i in range(d)}
     span.insert(start)
     basis, words, k = [start], [None], 0
@@ -280,10 +280,9 @@ def word_span(gens, p=None, start=None):
 
 def replay(gens, start, words, p=None):
     """The words that ``spin`` recorded, applied to ``start`` under ``gens``."""
-    rows = {g: linalg.nonzero_rows(gens[g]) for _, g in words[1:]}
     out = [start]
     for k, g in words[1:]:
-        out.append(_times(out[k], rows[g], len(gens[0]), p))
+        out.append(_times(out[k], gens[g], len(gens[0]), p))
     return out
 
 
@@ -301,11 +300,11 @@ def choose_theta(gens, p):
     idx = [g for g, G in enumerate(gens) if linalg.scalar_of(G) is None]
     for word in itertools.chain(((g,) for g in idx), ((g, h) for g in idx for h in idx if g != h)):
         theta = word_matrix(gens, word, p)
-        lower = any(x for i, row in enumerate(theta) for x in row[:i])
-        if lower and any(x for i, row in enumerate(theta) for x in row[i + 1:]):
+        lower = any(j < i for i, row in enumerate(theta) for j in row)
+        if lower and any(j > i for i, row in enumerate(theta) for j in row):
             continue
         # v theta = theta[i][i] v puts v on e_0..e_i (lower) or e_i..e_(d-1): keep v short
-        diag = [row[i] for i, row in enumerate(theta)]
+        diag = [row.get(i, 0) for i, row in enumerate(theta)]
         once = [i for i, x in enumerate(diag) if diag.count(x) == 1]
         if once:
             return word, theta, once[0 if lower else -1]
@@ -314,8 +313,9 @@ def choose_theta(gens, p):
 
 def eigenvectors(theta, lam, ctx=None, p=None):
     """Basis of the row vectors v with v theta = lam v, over ``ctx`` or F_p."""
-    rows = [{i: x - lam if i == j else x for i, x in enumerate(col) if x or i == j}
-            for j, col in enumerate(zip(*theta))]
+    rows = linalg.transpose(theta)
+    for j, row in enumerate(rows):
+        row[j] = row[j] - lam if j in row else -lam
     return linalg.nullspace(rows, len(theta), ctx, p)
 
 
@@ -332,9 +332,9 @@ def norton_test(gens, p):
     if chosen is None:
         return False
     _, theta, i = chosen
-    d = len(theta)
-    (v,), (w,) = (eigenvectors(t, theta[i][i], p=p) for t in (theta, list(zip(*theta))))
-    return word_span(gens, p, v) == d and word_span([list(zip(*G)) for G in gens], p, w) == d
+    d, lam = len(theta), theta[i].get(i, 0)
+    (v,), (w,) = (eigenvectors(t, lam, p=p) for t in (theta, linalg.transpose(theta)))
+    return word_span(gens, p, v) == d and word_span([linalg.transpose(G) for G in gens], p, w) == d
 
 
 def is_simple(rep):
@@ -376,7 +376,7 @@ def act_matrix(rep, element):
         raise ValueError("general elements act only on full-algebra modules")
     ctx = rep.ctx
     d = rep.dim
-    out = linalg.zero_matrix(ctx, d)
+    out = linalg.zero_matrix(d)
     for key, co in element.terms.items():
         M = linalg.identity(ctx, d)
         for gname, e in zip(element.alg.NAMES, key):
@@ -416,7 +416,7 @@ def central_character(rep):
         }
     out = {}
     for name, M in items.items():
-        c = linalg.scalar_of(M)
+        c = linalg.scalar_of(M, ctx.zero)
         if c is None:
             raise ArithmeticError("%s failed to act as a scalar" % name)
         out[name] = c
@@ -431,14 +431,10 @@ def e2_from_subalgebra_action(rep):
     """
     ctx = rep.ctx
     act = rep.act
-    d = rep.dim
-    e3 = act["e3"]
     # e3 is diagonal for these families
-    inv = linalg.zero_matrix(ctx, d)
-    for k in range(d):
-        if not e3[k][k]:
-            raise ValueError("e3 action is not invertible")
-        inv[k][k] = e3[k][k].invert()
+    if any(k not in row for k, row in enumerate(act["e3"])):
+        raise ValueError("e3 action is not invertible")
+    inv = [{k: row[k].invert()} for k, row in enumerate(act["e3"])]
     q2 = ctx.q_pow(2)
     combo = linalg.mat_sub(act["zt"], linalg.mat_scale(act["z"], (q2 - 1).invert()))
     return linalg.mat_mul(combo, inv)

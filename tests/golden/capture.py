@@ -93,6 +93,10 @@ CORPUS = {
                         "--params", "1/(q+1),q^-1,2,1/3"],
     "iso_m29_V1p_shift3": ["iso", "--m", "29", "--family", "V1p",
                            "--params1", "q^2,q^-6,1,1+q^-4+q^-8", "--params2", "1,1,1,0"],
+    "build_module_m7_V4p_zero_entries": ["build-module", "--m", "7", "--family", "V4p",
+                                         "--params", "1,0,0"],
+    "build_module_m8_V1_delta0": ["build-module", "--m", "8", "--family", "V1",
+                                  "--params", "1,1,1,0"],
 }
 
 

@@ -1,8 +1,10 @@
-"""The nonzero-only matrix kernels, the elimination kernel, the sparse word
+"""The sparse-row matrix kernels, the elimination kernel, the sparse word
 closure and Norton's test against dense references written out here: the
-triple-loop product, the entrywise sum and difference, Gaussian elimination
-on a dense copy, the O(d^3) intertwiner system and a closure of dense words
-over every generator, scalar ones included.
+triple-loop product, the entrywise sum and difference, the transpose,
+Gaussian elimination on a dense copy, the O(d^3) intertwiner system and a
+closure of dense words over every generator, scalar ones included.  The
+kernels take and return rows {column: entry} holding the nonzero entries
+only; the references work on dense lists of lists.
 """
 
 import dataclasses
@@ -13,6 +15,20 @@ import pytest
 
 from uqb2 import conformance, isoclass, linalg, repmod
 from uqb2.cyclotomic import residue_map
+
+
+def _sparse(a):
+    """Rows {column: entry} of the nonzero entries of a dense matrix."""
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
+def _dense(a, ncols, zero):
+    """The dense list-of-lists view of sparse rows."""
+    return [[row.get(j, zero) for j in range(ncols)] for row in a]
+
+
+def _stores_no_zero(a):
+    return all(x for row in a for x in row.values())
 
 
 def _random_scalar(ctx, rng):
@@ -51,11 +67,122 @@ def test_kernels_match_dense_references(context_factory, m):
     for n, mid, k in SHAPES:
         a = _random_matrix(ctx, rng, n, mid)
         b = _random_matrix(ctx, rng, mid, k)
-        assert linalg.mat_mul(a, b) == _dense_mul(a, b, ctx.zero), (m, n, mid, k)
+        product = linalg.mat_mul(_sparse(a), _sparse(b))
+        assert _dense(product, k, ctx.zero) == _dense_mul(a, b, ctx.zero), (m, n, mid, k)
+        assert _stores_no_zero(product)
         c = _random_matrix(ctx, rng, n, mid)
-        assert linalg.mat_add(a, c) == [[x + y for x, y in zip(ra, rc)] for ra, rc in zip(a, c)]
-        assert linalg.mat_sub(a, c) == [[x - y for x, y in zip(ra, rc)] for ra, rc in zip(a, c)]
-        assert linalg.mat_sub(c, a) == [[x - y for x, y in zip(rc, ra)] for ra, rc in zip(a, c)]
+        for out, ref in (
+            (linalg.mat_add(_sparse(a), _sparse(c)),
+             [[x + y for x, y in zip(ra, rc)] for ra, rc in zip(a, c)]),
+            (linalg.mat_sub(_sparse(a), _sparse(c)),
+             [[x - y for x, y in zip(ra, rc)] for ra, rc in zip(a, c)]),
+            (linalg.mat_sub(_sparse(c), _sparse(a)),
+             [[x - y for x, y in zip(rc, ra)] for ra, rc in zip(a, c)]),
+        ):
+            assert _dense(out, mid, ctx.zero) == ref, (m, n, mid, k)
+            assert _stores_no_zero(out)
+
+
+def _random_sparse(rng, n, scalar):
+    """A random n x n matrix in sparse rows: about half its entries absent."""
+    out = [{} for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            x = scalar()
+            if x and rng.random() < 0.5:
+                out[i][j] = x
+    return out
+
+
+def _check_formats(rng, n, scalar, zero, one, p=None):
+    """mat_mul (over F_p when p is given), transpose, mat_add, mat_sub and
+    mat_scale on random sparse matrices against the dense references, with
+    inputs whose entries cancel exactly; no output row stores a zero.  The
+    last three take no p, as no caller adds matrices mod p: on residues they
+    are exact integer arithmetic."""
+    canon = (lambda x: x) if p is None else (lambda x: x % p)
+    a, b = _random_sparse(rng, n, scalar), _random_sparse(rng, n, scalar)
+    da, db = _dense(a, n, zero), _dense(b, n, zero)
+    neg = [{j: -x for j, x in row.items()} for row in a]
+    # a + partial cancels everywhere except where b's first row has entries
+    partial = [dict(row) for row in neg]
+    partial[0].update(b[0])
+    dp = _dense(partial, n, zero)
+    # every row of pair is (u, u, 0, ...) and row 1 of opposite is -row 0,
+    # so pair * opposite is zero
+    pair = [{0: one, 1: one} if n > 1 else {} for _ in range(n)]
+    opposite = [dict(row) for row in b]
+    if n > 1:
+        opposite[1] = {j: canon(-x) for j, x in b[0].items()}
+    zeros = [[zero] * n for _ in range(n)]
+    c = scalar()
+    cases = [
+        (linalg.mat_mul(a, b, p), [[canon(x) for x in row] for row in _dense_mul(da, db, zero)]),
+        (linalg.mat_mul(pair, opposite, p), zeros),
+        (linalg.transpose(a), [list(col) for col in zip(*da)]),
+        (linalg.mat_add(a, b), [[x + y for x, y in zip(r, s)] for r, s in zip(da, db)]),
+        (linalg.mat_sub(a, b), [[x - y for x, y in zip(r, s)] for r, s in zip(da, db)]),
+        (linalg.mat_add(a, neg), zeros),
+        (linalg.mat_sub(a, a), zeros),
+        (linalg.mat_add(a, partial), [[x + y for x, y in zip(r, s)] for r, s in zip(da, dp)]),
+        (linalg.mat_scale(a, c), [[x * c for x in row] for row in da]),
+        (linalg.mat_scale(a, zero), zeros),
+    ]
+    for out, ref in cases:
+        assert len(out) == n
+        assert _stores_no_zero(out)
+        assert _dense(out, n, zero) == ref
+    assert linalg.transpose(linalg.transpose(a)) == a
+
+
+@pytest.mark.parametrize("m", (5, 8, 12))
+def test_sparse_rows_over_the_field(context_factory, m):
+    ctx = context_factory(m)
+    rng = random.Random(2000 + m)
+    for n in (1, 2, 3, 5, 7):
+        _check_formats(rng, n, lambda: _random_scalar(ctx, rng), ctx.zero, ctx.one)
+
+
+@pytest.mark.parametrize("p", (7, 11))
+def test_sparse_rows_over_f_p(p):
+    rng = random.Random(p)
+    for n in (1, 2, 3, 5, 7):
+        _check_formats(rng, n, lambda: rng.randrange(p), 0, 1, p)
+
+
+def test_scalar_of_edge_cases(context_factory):
+    ctx = context_factory(5)
+    c = ctx.q + 2
+    assert linalg.scalar_of(linalg.zero_matrix(3), ctx.zero) == ctx.zero
+    assert linalg.scalar_of(linalg.zero_matrix(3)) == 0
+    assert linalg.scalar_of(linalg.scalar_matrix(3, c), ctx.zero) == c
+    assert linalg.scalar_of(linalg.identity(ctx, 1)) == ctx.one
+    missing = linalg.scalar_matrix(3, c)
+    del missing[1][1]
+    assert linalg.scalar_of(missing) is None
+    missing_first = linalg.scalar_matrix(3, c)
+    del missing_first[0][0]
+    assert linalg.scalar_of(missing_first) is None
+    off = linalg.scalar_matrix(3, c)
+    off[2][0] = ctx.one
+    assert linalg.scalar_of(off) is None
+    only_off = linalg.zero_matrix(2)
+    only_off[1][0] = ctx.one
+    assert linalg.scalar_of(only_off) is None
+    unequal = linalg.scalar_matrix(3, c)
+    unequal[2][2] = ctx.one
+    assert linalg.scalar_of(unequal) is None
+    assert linalg.scalar_of([{0: 4}, {1: 4}], 0) == 4
+
+
+def test_mat_residues_edge_cases(context_factory):
+    ctx = context_factory(5)
+    p, rpow = residue_map(5)
+    # the entry p has residue 0 and is left out; q maps to r
+    res = linalg.mat_residues([{0: ctx.scalar(p), 1: ctx.q}, {1: ctx.one}])
+    assert res == [{1: rpow[1]}, {1: 1}]
+    assert linalg.mat_residues([{0: ctx.one}, {1: ctx.scalar(Fraction(1, p))}]) is None
+    assert linalg.mat_residues(linalg.zero_matrix(2)) == [{}, {}]
 
 
 def _params(ctx, family):
@@ -76,7 +203,7 @@ def _module(ctx, family, vals=None):
 def _dense_system_rows(act1, act2, d):
     rows = []
     for gname in sorted(act1):
-        A, B = act1[gname], act2[gname]
+        A, B = _dense(act1[gname], d, 0), _dense(act2[gname], d, 0)
         for i in range(d):
             for j in range(d):
                 row = {}
@@ -172,10 +299,12 @@ def test_elimination_matches_dense_rank(context_factory, p, systems):
 
 
 def _dense_closure(gens, p=None):
-    """Span dimension of all words, as dense matrices, in every generator."""
+    """Span dimension of all words, as dense matrices, in every generator
+    (given in sparse rows)."""
     d = len(gens[0])
     if p is None:
-        zero, one = gens[0][0][0].ctx.zero, gens[0][0][0].ctx.one
+        ctx = next(x for G in gens for row in G for x in row.values()).ctx
+        zero, one = ctx.zero, ctx.one
         span, canon = linalg.SparseEchelon(), lambda x: x
     else:
         zero, one = 0, 1
@@ -184,6 +313,7 @@ def _dense_closure(gens, p=None):
     def vec(M):
         return {i * d + j: x for i, row in enumerate(M) for j, x in enumerate(row) if x}
 
+    gens = [_dense(G, d, zero) for G in gens]
     ident = [[one if i == j else zero for j in range(d)] for i in range(d)]
     span.insert(vec(ident))
     frontier = [ident]
@@ -260,10 +390,10 @@ def test_norton_certifies_the_families(context_factory, m):
         assert _dense_closure(list(act.values()), p) == rep.dim ** 2, (m, family)
 
 
-E01, E10 = [[0, 1], [0, 0]], [[0, 0], [1, 0]]
+E01, E10 = _sparse([[0, 1], [0, 0]]), _sparse([[0, 0], [1, 0]])
 
 
-@pytest.mark.parametrize("x", ([[1, 0], [0, 2]], [[2, 0], [0, 1]]))
+@pytest.mark.parametrize("x", (_sparse([[1, 0], [0, 2]]), _sparse([[2, 0], [0, 1]])))
 @pytest.mark.parametrize("y", (E01, E10))
 def test_norton_declines_on_a_reducible_plane(x, y):
     # theta = x is diagonal, so lambda = x[1][1] and both null vectors are
@@ -273,7 +403,7 @@ def test_norton_declines_on_a_reducible_plane(x, y):
     p = 7
     assert _dense_closure([x, y], p) == 3
     assert not repmod.norton_test([x, y], p)
-    swap = [[0, 1], [1, 0]]  # E01 + E10: no line is invariant
+    swap = _sparse([[0, 1], [1, 0]])  # E01 + E10: no line is invariant
     assert _dense_closure([x, swap], p) == 4
     assert repmod.norton_test([x, swap], p)
 
@@ -283,7 +413,7 @@ def test_norton_declines_where_a_repeated_eigenvalue_would_certify():
     # <e0, e1>; e0 spins to all of V under x and y and under their transposes
     # (both are symmetric), yet e0 - e1 spans a submodule
     p = 7
-    x, y = [[1, 0, 0], [0, 1, 0], [0, 0, 2]], [[1, 0, 1], [0, 1, 1], [1, 1, 0]]
+    x, y = _sparse([[1, 0, 0], [0, 1, 0], [0, 0, 2]]), _sparse([[1, 0, 1], [0, 1, 1], [1, 1, 0]])
     assert _dense_closure([x, y], p) == 5
     assert repmod.word_span([x, y], p, {0: 1}) == 3
     assert not repmod.norton_test([x, y], p)

@@ -46,9 +46,22 @@ def test_v4p_e3_action_values(context_factory):
     q = ctx.q
     r = repmod.build(ctx, repmod.module_params(ctx, "V4p", q, 1, 2))
     e3 = r.act["e3"]
-    assert all(not c for c in e3[0])
+    assert e3[0] == {}
     for k in range(1, r.dim):
         assert e3[k][k - 1] == q * ctx.q_bracket(k, 2)
+
+
+@pytest.mark.parametrize("m", [5, 8])
+def test_built_matrices_store_no_zero(context_factory, m):
+    # beta = gamma = 0 empty entries of V4p, delta = 0 one of zt in V1, and
+    # at m = 8 (l = 4) [2]_4 = 1 + q^4 = 0 one of e1 in V2
+    ctx = context_factory(m)
+    for family in repmod.FAMILIES:
+        for vals in _sample_tuples(ctx, family) + [(1, 0, 0)] * (family == "V4p"):
+            r = repmod.build(ctx, repmod.module_params(ctx, family, *vals))
+            for rep in (r, repmod.direct_sum(r, r)):
+                assert all(x for M in rep.act.values() for row in M for x in row.values()), \
+                    (m, family, vals)
 
 
 def test_v1p_scalar_z_action(context_factory):

@@ -25,10 +25,10 @@ for m in (5, 6, 8):
     print()
 
 # The center of the associated q-commuting polynomial algebra is read off a
-# kernel lattice: points of Z^4 with H v == 0 (mod l), minimal generators by
-# brute-force enumeration inside the box [0, l]^4.
+# kernel lattice: points of Z^4 with H v == 0 (mod l).  The minimal
+# generators are l*e_i and the minimal residues mod l of the lattice points.
 H = lattice.NAMED_MATRICES["qaspace"]
 for l in (3, 5):
     print("kernel semigroup generators at l = %d:" % l)
-    for v in lattice.nonneg_hilbert_basis(H, l, l):
+    for v in lattice.nonneg_hilbert_basis(H, l):
         print("   ", v)

@@ -83,12 +83,12 @@ def cmd_central(args):
 
 def cmd_pideg(args):
     H, name = _parse_matrix(args.matrix)
-    snf = lattice.smith_normal_form(H)
+    snf, degree = lattice.smith_form_and_pi_degree(H, args.m)
     _emit({
         "m": args.m,
         "matrix": name,
         "invariant_factors": list(snf.diag),
-        "pi_degree": lattice.pi_degree(H, args.m),
+        "pi_degree": degree,
     })
     return 0
 

@@ -98,15 +98,15 @@ def run_conformance(m):
     snf_ok = True
     for name in ("uqb2", "balg"):
         H = lattice.NAMED_MATRICES[name]
-        snf = lattice.smith_normal_form(H)
-        if snf.diag != (2, 2, 0, 0) or lattice.pi_degree(H, m) != l:
+        snf, degree = lattice.smith_form_and_pi_degree(H, m)
+        if snf.diag != (2, 2, 0, 0) or degree != l:
             snf_ok = False
         if abs(lattice.determinant(snf.U)) != 1 or abs(lattice.determinant(snf.V)) != 1:
             snf_ok = False
     check("invariant_factors_and_pi_degree", snf_ok)
 
     expected = sorted([(l, 0, 0, 0), (0, l, 0, 0), (0, 0, l, 0), (0, 0, 0, 1), (1, 1, 1, 0)])
-    hb = lattice.nonneg_hilbert_basis(lattice.NAMED_MATRICES["qaspace"], l, l)
+    hb = lattice.nonneg_hilbert_basis(lattice.NAMED_MATRICES["qaspace"], l)
     check("kernel_semigroup_generators", hb == expected)
 
     fam_detail = []

@@ -2,8 +2,9 @@
 
 Everything here is exact integer arithmetic on small (typically 4x4)
 matrices, so the algorithms favour simplicity: elementary row/column
-operations with smallest-pivot selection for the Smith form, and bounded
-brute-force enumeration for the nonnegative kernel semigroup.
+operations with smallest-pivot selection for the Smith form, and the
+minimal points among the residues of the kernel lattice for the
+nonnegative kernel semigroup.
 """
 
 from __future__ import annotations
@@ -158,23 +159,23 @@ def pi_degree(H, m):
     this package needs; other antisymmetric matrices are computed with the
     same rule.
     """
+    return smith_form_and_pi_degree(H, m)[1]
+
+
+def smith_form_and_pi_degree(H, m):
+    """``(smith_normal_form(H), pi_degree(H, m))`` from one Smith form."""
     n = len(H)
-    for a in range(n):
-        for b in range(n):
-            if H[a][b] != -H[b][a]:
-                raise ValueError("PI degree needs an antisymmetric matrix")
-    nonzero = [d for d in smith_normal_form(H).diag if d]
+    if any(H[a][b] != -H[b][a] for a in range(n) for b in range(n)):
+        raise ValueError("PI degree needs an antisymmetric matrix")
+    snf = smith_normal_form(H)
+    nonzero = [d for d in snf.diag if d]
     if len(nonzero) % 2:
         raise ArithmeticError(
             "antisymmetric matrix produced an odd number of nonzero invariant factors"
         )
-    for h1, h2 in zip(nonzero[0::2], nonzero[1::2]):
-        if h1 != h2:
-            raise ArithmeticError("nonzero invariant factors failed to pair up")
-    deg = 1
-    for h in nonzero[0::2]:
-        deg *= m // math.gcd(m, h % m)
-    return deg
+    if nonzero[0::2] != nonzero[1::2]:
+        raise ArithmeticError("nonzero invariant factors failed to pair up")
+    return snf, math.prod(m // math.gcd(m, h % m) for h in nonzero[0::2])
 
 
 def kernel_mod(H, l):
@@ -186,45 +187,36 @@ def kernel_mod(H, l):
     if l < 1:
         raise ValueError("modulus must be >= 1")
     snf = smith_normal_form(H)
-    n = len(snf.diag)
-    basis = []
-    for i in range(n):
-        t = l // math.gcd(snf.diag[i], l)
-        basis.append(tuple(t * snf.V[r][i] for r in range(n)))
-    return basis
+    return [tuple(l // math.gcd(d, l) * row[i] for row in snf.V) for i, d in enumerate(snf.diag)]
 
 
-def _kernel_points(H, l, bound):
-    n = len(H)
-    pts = set()
-    for v in itertools.product(range(bound + 1), repeat=n):
-        if not any(v):
-            continue
-        if all(sum(H[r][c] * v[c] for c in range(n)) % l == 0 for r in range(n)):
-            pts.add(v)
-    return pts
+def nonneg_hilbert_basis(H, l):
+    """Minimal generators of the semigroup S = {v >= 0 : H v == 0 (mod l)}.
 
+    Complete for every square H and every l >= 1, by four facts:
 
-def nonneg_hilbert_basis(H, l, bound):
-    """Minimal generators of the nonnegative kernel points within [0, bound]^n.
-
-    Brute-force enumeration: a point is a generator when it is not the sum of
-    two nonzero kernel points.  Any decomposition of an enumerated point has
-    both summands inside the box, so the result is complete for the semigroup
-    restricted to the box; choosing bound >= l covers the instances used for
-    the center computation.
+    * Decomposable means dominated.  v in S - {0} is a + b with a, b in
+      S - {0} exactly when some other a in S - {0} has a <= v componentwise:
+      then v - a >= 0, and it lies in the kernel lattice, which is a group.
+    * Entries below l.  Each l*e_i lies in S, so a generator other than
+      l*e_i has every entry below l.
+    * The candidates.  Those points are the residues mod l of sum c_i b_i,
+      where b_i = (l / gcd(d_i, l)) V[:, i] is the basis from ``kernel_mod``
+      and 0 <= c_i < gcd(d_i, l): prod gcd(d_i, l) points in all.
+    * The generators.  They are the componentwise-minimal points among those
+      residues and the l*e_i.  One pass in increasing coordinate sum, keeping
+      v when no kept point lies below it, finds them.
     """
-    pts = _kernel_points(H, l, bound)
-    minimal = []
-    for s in pts:
-        decomposable = False
-        for a in pts:
-            if a == s or any(x > y for x, y in zip(a, s)):
-                continue
-            rest = tuple(y - x for x, y in zip(a, s))
-            if any(rest) and rest in pts:
-                decomposable = True
-                break
-        if not decomposable:
-            minimal.append(s)
-    return sorted(minimal)
+    basis = kernel_mod(H, l)
+    n = len(basis)
+    # V[:, i] is primitive, so gcd(d_i, l), the order of b_i mod l, is l over
+    # the gcd of b_i's entries with l
+    orders = [range(l // math.gcd(l, *b)) for b in basis]
+    candidates = {tuple(sum(c * b[r] for c, b in zip(cs, basis)) % l for r in range(n))
+                  for cs in itertools.product(*orders)} - {(0,) * n}
+    candidates |= {tuple(l * (i == j) for j in range(n)) for i in range(n)}
+    kept = []
+    for v in sorted(candidates, key=sum):
+        if not any(all(x <= y for x, y in zip(a, v)) for a in kept):
+            kept.append(v)
+    return sorted(kept)

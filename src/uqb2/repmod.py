@@ -242,23 +242,23 @@ def _times(W, G, d, p):
 
 def spin(gens, p=None, start=None):
     """Basis of the span of all words in the d x d matrices ``gens``, applied
-    to ``start`` (the identity by default), and ``words[n] = (k, g)``: basis
-    vector n is vector k times ``gens[g]`` (``words[0]`` is None).
+    to ``start``, and ``words[n] = (k, g)``: basis vector n is vector k times
+    ``gens[g]`` (``words[0]`` is None).
 
     Words are sparse vectorized dicts {i*d + j: entry}, multiplied by the
     rows of each generator and inserted breadth first until the span is
-    full or stops growing.  A ``start`` vector (indices below d) spans at
-    most d, not d*d.  Over F_p (``p`` given, entries residues) entries are
-    reduced mod p.  A scalar generator is left out: c*W adds nothing to a
-    span that holds W.
+    full or stops growing.  Words act on the right, so the span stays in the
+    rows i that ``start`` occupies: at most d per row.  The default start is
+    the identity over F_p; over the field pass ``identity_word``.  Over F_p
+    (``p`` given, entries residues) entries are reduced mod p.  A scalar
+    generator is left out: c*W adds nothing to a span that holds W.
     """
     d = len(gens[0])
-    target = d * d if start is None else d
+    if start is None:
+        start = identity_word(d, 1)
+    target = d * len({k // d for k in start})
     rows = [(g, G) for g, G in enumerate(gens) if linalg.scalar_of(G) is None]
     span = linalg.SparseEchelon(p)
-    if start is None:
-        one = 1 if p is not None else next(x for G in gens for r in G for x in r.values()).ctx.one
-        start = {i * d + i: one for i in range(d)}
     span.insert(start)
     basis, words, k = [start], [None], 0
     while k < len(basis) < target:
@@ -271,6 +271,11 @@ def spin(gens, p=None, start=None):
                     break
         k += 1
     return basis, words
+
+
+def identity_word(d, one):
+    """The d x d identity as a vectorized word, with ``one`` on the diagonal."""
+    return {i * d + i: one for i in range(d)}
 
 
 def word_span(gens, p=None, start=None):
@@ -364,7 +369,7 @@ def is_simple(rep):
     reduced = residue_action(rep)
     if reduced is not None and norton_test(list(reduced[1].values()), reduced[0]):
         return SimplicityCertificate(simple=True, span_dim=target, path="modular")
-    span_dim = word_span(list(rep.act.values()))
+    span_dim = word_span(list(rep.act.values()), start=identity_word(rep.dim, rep.ctx.one))
     return SimplicityCertificate(simple=span_dim == target, span_dim=span_dim, path="exact")
 
 

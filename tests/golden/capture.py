@@ -97,6 +97,9 @@ CORPUS = {
                                          "--params", "1,0,0"],
     "build_module_m8_V1_delta0": ["build-module", "--m", "8", "--family", "V1",
                                   "--params", "1,1,1,0"],
+    "pideg_m8_uqb2": ["pideg", "--m", "8", "--matrix", "uqb2"],
+    "pideg_m9_balg": ["pideg", "--m", "9", "--matrix", "balg"],
+    "pideg_m7_qaspace": ["pideg", "--m", "7", "--matrix", "qaspace"],
 }
 
 

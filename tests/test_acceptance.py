@@ -107,7 +107,7 @@ def test_acceptance_07_affine_center_hilbert_basis():
     t0 = time.time()
     H = lattice.NAMED_MATRICES["qaspace"]
     for l in (3, 5):
-        got = lattice.nonneg_hilbert_basis(H, l, l)
+        got = lattice.nonneg_hilbert_basis(H, l)
         want = sorted(
             [(l, 0, 0, 0), (0, l, 0, 0), (0, 0, l, 0), (0, 0, 0, 1), (1, 1, 1, 0)]
         )

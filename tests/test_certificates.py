@@ -34,7 +34,7 @@ def _module(ctx, family, vals):
 
 
 def _exact_span(rep):
-    return repmod.word_span(list(rep.act.values()))
+    return repmod.word_span(list(rep.act.values()), start=repmod.identity_word(rep.dim, rep.ctx.one))
 
 
 def _exact_solutions(r1, r2):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from uqb2 import cli, cyclotomic, expr
+from uqb2 import cli, cyclotomic, expr, lattice
 
 
 def run_cli(capsys, *argv):
@@ -57,6 +57,16 @@ def test_pideg_matrix_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "pideg", "--m", "5", "--matrix", str(path))
     assert code == 0
     assert out["pi_degree"] == 5
+
+
+@pytest.mark.parametrize("matrix", ["uqb2", "balg", "qaspace"])
+def test_pideg_computes_one_smith_form(capsys, monkeypatch, matrix):
+    calls = []
+    smith_normal_form = lattice.smith_normal_form
+    monkeypatch.setattr(lattice, "smith_normal_form", lambda H: calls.append(H) or smith_normal_form(H))
+    code, _, _ = run_cli(capsys, "pideg", "--m", "8", "--matrix", matrix)
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_pideg_bad_matrix_file(tmp_path, capsys):

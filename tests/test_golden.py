@@ -2,9 +2,9 @@
 
 The corpus is CLI output frozen by ``tests/golden/capture.py``: the
 conformance ledger at m in {5, 7, 8, 12}, ``center-report`` at m in {5, 8}
-and a set of ``nf``, ``central``, ``simple``, ``iso``, ``character`` and
-``build-module`` commands, including division and negative exponents, and
-the relation keys of ``check-module`` and ``torus-check``.  The named
+and a set of ``nf``, ``central``, ``simple``, ``iso``, ``character``,
+``build-module`` and ``pideg`` commands, including division and negative
+exponents, and the relation keys of ``check-module`` and ``torus-check``.  The named
 elements zt, z1 and zp appear in ``nf`` (m = 7) and ``central`` (zp, central
 at m = 8); ``torus-check`` runs at m = 8, where the image of zp equals
 X2 X4 X1, and at m = 9, where it does not; ``character`` covers full

@@ -123,7 +123,7 @@ def test_kernel_mod_describes_congruent_triples():
 
 @pytest.mark.parametrize("l", [3, 5])
 def test_hilbert_basis_expected_generators(l):
-    got = lattice.nonneg_hilbert_basis(lattice.NAMED_MATRICES["qaspace"], l, l)
+    got = lattice.nonneg_hilbert_basis(lattice.NAMED_MATRICES["qaspace"], l)
     want = sorted(
         [(l, 0, 0, 0), (0, l, 0, 0), (0, 0, l, 0), (0, 0, 0, 1), (1, 1, 1, 0)]
     )
@@ -131,5 +131,53 @@ def test_hilbert_basis_expected_generators(l):
 
 
 def test_hilbert_basis_trivial_instance():
-    got = lattice.nonneg_hilbert_basis([[0] * 4 for _ in range(4)], 1, 1)
+    got = lattice.nonneg_hilbert_basis([[0] * 4 for _ in range(4)], 1)
     assert got == sorted([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+
+
+def _brute_hilbert_basis(H, l, bound):
+    """Kernel points in [0, bound]^n that are not the sum of two nonzero
+    kernel points: the definition, checked pair by pair."""
+    n = len(H)
+    pts = sorted(
+        (v for v in itertools.product(range(bound + 1), repeat=n) if any(v) and _in_kernel(H, v, l)),
+        key=sum,
+    )
+    found = set(pts)
+    minimal = []
+    for s in pts:
+        half = sum(s) // 2
+        for a in pts:
+            if sum(a) > half:
+                minimal.append(s)
+                break
+            rest = tuple(y - x for x, y in zip(a, s))
+            if min(rest) >= 0 and rest in found:
+                break
+        else:
+            minimal.append(s)
+    return sorted(minimal)
+
+
+def test_hilbert_basis_matches_the_definition_on_a_larger_box():
+    # every generator the brute force finds in [0, 2l]^n, and no other,
+    # comes out: complete beyond the box [0, l]^n
+    rng = random.Random(15)
+    for case in range(120):
+        n = rng.randrange(2, 5)
+        l = rng.randrange(1, 7)
+        H = [[rng.randrange(-l, l + 1) for _ in range(n)] for _ in range(n)]
+        if case % 2:
+            for i in range(n):
+                H[i][i] = 0
+                for j in range(i):
+                    H[i][j] = -H[j][i]
+        assert lattice.nonneg_hilbert_basis(H, l) == _brute_hilbert_basis(H, l, 2 * l), (H, l)
+
+
+def test_hilbert_basis_rejects_non_square_and_small_modulus():
+    with pytest.raises(ValueError):
+        lattice.nonneg_hilbert_basis([[1, 2, 3], [4, 5, 6]], 5)
+    for l in (0, -3):
+        with pytest.raises(ValueError):
+            lattice.nonneg_hilbert_basis(lattice.NAMED_MATRICES["qaspace"], l)

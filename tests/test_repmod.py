@@ -107,6 +107,17 @@ def test_direct_sum_not_simple(context_factory):
     assert cert.span_dim < (2 * r.dim) ** 2
 
 
+@pytest.mark.parametrize("d, simple", [(1, True), (2, False)])
+def test_zero_module_simplicity(context_factory, d, simple):
+    # every action zero: no matrix entry to take the field's 1 from
+    rep = repmod.Representation(
+        "trivial", None, d, {g: [{} for _ in range(d)] for g in ("e1", "e2", "e3", "z")},
+        context_factory(5),
+    )
+    assert repmod.verify_relations(rep)["all_zero"]
+    assert repmod.is_simple(rep) == repmod.SimplicityCertificate(simple, 1, "exact")
+
+
 def test_dimension_bounded_by_pi_degree(context_factory):
     for m in (5, 6, 8, 12):
         ctx = context_factory(m)

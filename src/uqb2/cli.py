@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from . import conformance, expr, isoclass, lattice, repmod, structure, torus
@@ -20,7 +21,12 @@ from .pbw import PBWAlgebra
 
 
 def scalar_json(c):
-    return [str(f) for f in c.coeffs]
+    """The coordinates as exact rational strings, as ``str(Fraction)`` prints them."""
+    den = c.den
+    if den == 1:
+        return [str(n) for n in c.num]
+    return [str(n // den) if (g := math.gcd(n, den)) == den else "%d/%d" % (n // g, den // g)
+            for n in c.num]
 
 
 def term_json(key, coeff):
@@ -37,8 +43,33 @@ def matrix_json(M, zero):
     return [[scalar_json(row.get(j, zero)) for j in range(len(M))] for row in M]
 
 
+_encode = json.encoder.encode_basestring_ascii
+
+
+def _dumps(x, pad="\n"):
+    """``json.dumps(x, indent=2)``, the same bytes, with ``pad`` the newline
+    and indent of the line ``x`` starts on.  Strings, ints, lists, tuples and
+    dicts with string keys are written here, a list of strings in one join;
+    anything else (bools, None, floats, other keys) by ``json.dumps``."""
+    kind = type(x)
+    if kind is str:
+        return _encode(x)
+    if kind is int:
+        return int.__repr__(x)
+    inner = pad + "  "
+    sep = "," + inner
+    if (kind is list or kind is tuple) and x:
+        if all(type(v) is str for v in x):
+            return "[" + inner + sep.join(map(_encode, x)) + pad + "]"
+        return "[" + inner + sep.join([_dumps(v, inner) for v in x]) + pad + "]"
+    if kind is dict and x and all(type(k) is str for k in x):
+        return "{" + inner + sep.join([_encode(k) + ": " + _dumps(v, inner)
+                                       for k, v in x.items()]) + pad + "}"
+    return json.dumps(x, indent=2).replace("\n", pad)
+
+
 def _emit(payload):
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(_dumps(payload) + "\n")
 
 
 def _parse_matrix(spec):

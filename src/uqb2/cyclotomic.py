@@ -15,13 +15,14 @@ N = A * P is the norm, a rational integer (Cohen, GTM 138, section 4.3).
 The q-bracket [k] = (q^(sk) - 1)/(q^s - 1) is the geometric sum of q^(si),
 0 <= i < k, taken straight from the q-power table without any division.
 
-Most products in the PBW engine have an operand 1 or q^k (the relations
-only ever bring in powers of q), so multiplication recognises such a unit
-operand by its numerator vector and skips the convolution: 1*a is a, and
-q^k * A is the sum of A_t * q^(t+k) read off the q-power table, over the same
-denominator.  That needs no gcd: q^k is a unit of Z[q] and the power basis is
-a Z-basis of Z[q], so multiplying by it keeps the content of A.  -q^k is
-q^(k + m/2) for even m; for odd m it takes the general path.
+Most products have an operand 1 or q^k (the relations only ever bring in
+powers of q), so multiplication recognises such a unit operand by its
+numerator vector (``FieldContext._unit_exp``) and skips the convolution: 1*a
+is a, and q^k * A is the sum of A_t * q^(t+k) read off the q-power table
+(``_substitute``), over the same denominator.  That needs no gcd: q^k is a
+unit of Z[q] and the power basis is a Z-basis of Z[q], so multiplying by it
+keeps the content of A.  -q^k is q^(k + m/2) for even m; for odd m it takes
+the general path.  The PBW engine takes the same path on its integer vectors.
 """
 
 from __future__ import annotations
@@ -251,8 +252,10 @@ def _mul_int(ctx, a, b):
 
 
 def _substitute(ctx, A, j, k):
-    """Integer vector of q^k * sigma_j(A), where sigma_j sends q to q^j: the
-    sum of A_t * q^(j*t + k), read off the q-power table."""
+    """Integer tuple of q^k * sigma_j(A), where sigma_j sends q to q^j: the
+    sum of A_t * q^(j*t + k), read off the q-power table.  With j = 1 it is
+    the unit fast path: q^k * A with no convolution, keeping the content of A
+    (``CycNum.__mul__`` and the PBW engine both take it)."""
     m, d, qpow = ctx.m, ctx.degree, ctx._qpow
     out = [0] * d
     s = k % m  # j*t + k mod m, for t = 0, 1, ...
@@ -265,7 +268,7 @@ def _substitute(ctx, A, j, k):
                     if y:
                         out[i] += x * y
         s = (s + j) % m
-    return out
+    return tuple(out)
 
 
 def _make(ctx, nums, den):
@@ -353,7 +356,7 @@ class CycNum:
             return _make(self.ctx, _mul_int(self.ctx, self.num, o.num), self.den * o.den)
         if k == 0:
             return a
-        return CycNum(self.ctx, tuple(_substitute(self.ctx, a.num, 1, k)), a.den)
+        return CycNum(self.ctx, _substitute(self.ctx, a.num, 1, k), a.den)
 
     __rmul__ = __mul__
 

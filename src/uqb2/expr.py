@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 
-from .pbw import GENERATOR_NAMES, PBWAlgebra, evaluate_letters
+from .pbw import GENERATOR_NAMES, PBWAlgebra, letter_image
 
 IDENTIFIERS = ("e1", "e2", "e3", "z", "zt", "z1", "zp", "q")
 
@@ -165,10 +165,12 @@ def evaluate(tree, alg):
     """Fold an expression tree through the algebra; returns the normal form."""
     if isinstance(tree, str):
         tree = parse(tree)
-    return _eval(tree, alg)
+    # the letters' images, shared by the whole expression, so that each named
+    # element (and the zt inside z1) is built once per call
+    return _eval(tree, alg, dict(zip(GENERATOR_NAMES, alg.generators())))
 
 
-def _eval(node, alg):
+def _eval(node, alg, images):
     head = node[0]
     if head == "int":
         return alg.scalar(node[1])
@@ -176,22 +178,20 @@ def _eval(node, alg):
         name = node[1]
         if name == "q":
             return alg.scalar(alg.ctx.q)
-        if name in GENERATOR_NAMES:
-            return alg.generator(name)
-        return evaluate_letters((name,), dict(zip(GENERATOR_NAMES, alg.generators())), alg.ctx)[0]
+        return letter_image(name, images, alg.ctx)
     if head == "add":
-        return _eval(node[1], alg) + _eval(node[2], alg)
+        return _eval(node[1], alg, images) + _eval(node[2], alg, images)
     if head == "sub":
-        return _eval(node[1], alg) - _eval(node[2], alg)
+        return _eval(node[1], alg, images) - _eval(node[2], alg, images)
     if head == "mul":
-        return _eval(node[1], alg) * _eval(node[2], alg)
+        return _eval(node[1], alg, images) * _eval(node[2], alg, images)
     if head == "div":
-        divisor = _eval(node[2], alg).as_scalar()
-        return _eval(node[1], alg) * divisor.invert()
+        divisor = _eval(node[2], alg, images).as_scalar()
+        return _eval(node[1], alg, images) * divisor.invert()
     if head == "neg":
-        return -_eval(node[1], alg)
+        return -_eval(node[1], alg, images)
     if head == "pow":
-        base = _eval(node[1], alg)
+        base = _eval(node[1], alg, images)
         k = node[2]
         if k >= 0:
             return base ** k

@@ -19,7 +19,9 @@ nontrivial power-against-power expansions, e2^n * e3^j and e2^n * e1^k, are
 cases of one recursion for e2^n * e3^j * e1^k, memoized per algebra in one
 table; closed-form commutation identities are *never* used inside the
 engine, they exist only as independent cross-checks
-(``power_commutation_identity``).
+(``power_commutation_identity``).  The engine runs in integer arithmetic: the
+memo tables hold integer vectors in Z[q], each operand of a product is put
+over one denominator, and one canonical ``CycNum`` is made per output term.
 
 The defining relations are also written once as data, in ``FULL_RELATIONS``
 and ``SUBALGEBRA_RELATIONS``, and ``evaluate_relations`` evaluates them on
@@ -32,11 +34,12 @@ it, in ``DEFINITIONS``, and built on the same images (``evaluate_letters``).
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, _make, _mul_int, _substitute
 
 GENERATOR_NAMES = ("e1", "e2", "e3", "z")
 
@@ -107,7 +110,7 @@ DEFINITIONS = (
 ELEMENT_OPS = (operator.mul, operator.mul, operator.add, operator.sub)
 
 
-def _letter(letter, images, ctx, ops):
+def letter_image(letter, images, ctx, ops=ELEMENT_OPS):
     """The image of ``letter``; one missing from ``images`` is evaluated from
     ``DEFINITIONS`` and added to ``images``, so it is built once."""
     if letter not in images:
@@ -125,7 +128,7 @@ def _combine(terms, images, ctx, ops, factor):
     for coeff, word in terms:
         x = None
         for letter in word.split():
-            y = _letter(letter, images, ctx, ops)
+            y = letter_image(letter, images, ctx, ops)
             x = y if x is None else mul(x, y)
         # after the first term a negative coefficient is subtracted, so the
         # scalar is more often a unit q^k: -q^k is not one at odd m
@@ -148,10 +151,29 @@ def evaluate_letters(letters, images, ctx, ops=ELEMENT_OPS):
     """The value of each of ``letters``, in order: its entry in ``images`` or
     its definition, evaluated as ``evaluate_relations`` does."""
     images = dict(images)
-    return [_letter(x, images, ctx, ops) for x in letters]
+    return [letter_image(x, images, ctx, ops) for x in letters]
 
 
 _UNIT = (0, 0, 0, 0)
+
+
+def _times(ctx, a, b):
+    """The integer vector a * b; the row of 1 is recognised by identity."""
+    one = ctx.one.num
+    return b if a is one else a if b is one else tuple(_mul_int(ctx, a, b))
+
+
+def _add_terms(ctx, sums, terms):
+    """Add q^k * vec to the integer vector ``sums[key]`` for each (key, vec, k)."""
+    one, qpow, m = ctx.one.num, ctx._qpow, ctx.m
+    for key, vec, k in terms:
+        if vec is one:
+            vec = qpow[k % m]
+        elif k % m:
+            vec = _substitute(ctx, vec, 1, k)
+        acc = sums.get(key)
+        sums[key] = vec if acc is None else tuple(map(operator.add, acc, vec))
+
 
 # the operand types that act on elements as field scalars
 _SCALARS = (int, Fraction, CycNum)
@@ -167,11 +189,11 @@ class PBWAlgebra:
         self.ctx = ctx
         # elements combine only within one field
         self.key = ctx.m
-        one = ctx.one
-        # e2 * e3^j and e2 * e1^k, grown on demand by one swap at a time
-        self._b1 = [{(0, 0, 0, 1): one}]
-        self._a1 = [{(0, 0, 0, 1): one}]
-        # e2^n * e3^j * e1^k, keyed by (n, j, k)
+        # e2 * e3^j and e2 * e1^k, grown on demand by one swap at a time, and
+        # e2^n * e3^j * e1^k keyed by (n, j, k); entries as in ``_entries``
+        e2 = (((0, 0, 0, 1), ctx.one.num, 0),)
+        self._b1 = [e2]
+        self._a1 = [e2]
         self._e2cache = {}
 
     # -- element constructors -------------------------------------------------
@@ -205,43 +227,50 @@ class PBWAlgebra:
         return PBWElement(self, {_UNIT: c} if c else {})
 
     # -- memoized power-against-power products --------------------------------
+    #
+    # Every coefficient here lies in Z[q], so the tables hold integer vectors
+    # on the power basis.  An entry is (monomial, vec, k) for the coefficient
+    # q^k * vec; a unit q^k is held as (the row of 1, k), so that a product
+    # of units is a sum of exponents and the q^k shift (the unit fast path of
+    # ``cyclotomic._substitute``) is taken once, when a term is written.
+
+    def _entries(self, sums):
+        """Entries of a {monomial: integer vector} map, zeros dropped."""
+        units, one = self.ctx._unit_exp, self.ctx.one.num
+        return tuple((key, one, units[vec]) if vec in units else (key, vec, 0)
+                     for key, vec in sums.items() if any(vec))
 
     def _b1_at(self, j):
         # e2 * e3^j = q^2 e3 (e2 e3^(j-1)) + z e3^(j-1), one swap per step
-        tab = self._b1
-        q2 = self.ctx.q_pow(2)
-        one = self.ctx.one
+        tab, ctx = self._b1, self.ctx
         while len(tab) <= j:
-            jj = len(tab)
-            nxt = {}
-            for (i, b, _, c), co in tab[jj - 1].items():
-                nxt[(i, b + 1, 0, c)] = co * q2
-            key = (1, jj - 1, 0, 0)
-            nxt[key] = nxt.get(key, self.ctx.zero) + one
-            tab.append(nxt)
+            sums = {}
+            _add_terms(ctx, sums, [((i, b + 1, 0, c), vec, k + 2)
+                                   for (i, b, _, c), vec, k in tab[-1]])
+            _add_terms(ctx, sums, [((1, len(tab) - 1, 0, 0), ctx.one.num, 0)])
+            tab.append(self._entries(sums))
         return tab[j]
 
     def _a1_at(self, k):
-        # e2 * e1^k = q^-2 e1 (e2 e1^(k-1)) - q^-2 e3 e1^(k-1)
-        tab = self._a1
-        qm2 = self.ctx.q_pow(-2)
+        # e2 * e1^k = q^-2 e1 (e2 e1^(k-1)) - q^-2 e3 e1^(k-1); the fresh e1
+        # moves leftward past e3^b, so q^-2 * q^(-2b) is one shift
+        tab, ctx = self._a1, self.ctx
         while len(tab) <= k:
-            kk = len(tab)
-            nxt = {}
-            for (i, b, c, d), co in tab[kk - 1].items():
-                # move the fresh e1 leftward past e3^b
-                nxt[(i, b, c + 1, d)] = co * qm2 * self.ctx.q_pow(-2 * b)
-            key = (0, 1, kk - 1, 0)
-            nxt[key] = nxt.get(key, self.ctx.zero) - qm2
-            tab.append(nxt)
+            sums = {}
+            _add_terms(ctx, sums, [((i, b, c + 1, d), vec, e - 2 - 2 * b)
+                                   for (i, b, c, d), vec, e in tab[-1]])
+            minus_one = tuple(-v for v in ctx.one.num)
+            _add_terms(ctx, sums, [((0, 1, len(tab) - 1, 0), minus_one, -2)])
+            tab.append(self._entries(sums))
         return tab[k]
 
     def _e2n(self, n, j, k):
-        """Terms of e2^n * e3^j * e1^k; the products ask for j = 0 or k = 0."""
+        """Entries of e2^n * e3^j * e1^k."""
+        one = self.ctx.one.num
         if n == 0:
-            return {(0, j, k, 0): self.ctx.one}
+            return (((0, j, k, 0), one, 0),)
         if j == k == 0:
-            return {(0, 0, 0, n): self.ctx.one}
+            return (((0, 0, 0, n), one, 0),)
         if n == 1 and not k:
             return self._b1_at(j)
         if n == 1 and not j:
@@ -249,49 +278,71 @@ class PBWAlgebra:
         cached = self._e2cache.get((n, j, k))
         if cached is not None:
             return cached
-        out = {}
-        for (i, b, c, d), co in self._e2n(n - 1, j, k).items():
-            # left-multiply the monomial by e2: first push e2 past e3^b,
-            # then push any produced e2 past e1^c
-            for (i1, b1, _, c1), co1 in self._b1_at(b).items():
-                lead = co * co1
-                if c1 and c:
-                    for (p, qq, r, u), co2 in self._a1_at(c).items():
-                        key = (i + i1 + p, b1 + qq, r, u + d)
-                        prod = lead * co2
-                        acc = out.get(key)
-                        out[key] = prod if acc is None else acc + prod
-                else:
-                    key = (i + i1, b1, c, d + c1)
-                    acc = out.get(key)
-                    out[key] = lead if acc is None else acc + lead
-        out = {key: v for key, v in out.items() if v}
-        self._e2cache[(n, j, k)] = out
+        ctx = self.ctx
+        terms = []
+        if j and k:
+            # e2^n e3^j is a sum of z^a e3^b e2^c, and z^a e3^b times the
+            # normal form of e2^c e1^k is in normal form
+            for (a, b, _, c), vec, e in self._e2n(n, j, 0):
+                for (p, qq, r, u), vec1, e1 in self._e2n(c, 0, k):
+                    terms.append(((a + p, b + qq, r, u), _times(ctx, vec, vec1), e + e1))
+        else:
+            for (i, b, c, d), vec, e in self._e2n(n - 1, j, k):
+                # left-multiply the monomial by e2: first push e2 past e3^b,
+                # then push any produced e2 past e1^c
+                for (i1, b1, _, c1), vec1, e1 in self._b1_at(b):
+                    lead = _times(ctx, vec, vec1)
+                    if c1 and c:
+                        for (p, qq, r, u), vec2, e2 in self._a1_at(c):
+                            terms.append(((i + i1 + p, b1 + qq, r, u + d),
+                                          _times(ctx, lead, vec2), e + e1 + e2))
+                    else:
+                        terms.append(((i + i1, b1, c, d + c1), lead, e + e1))
+        sums = {}
+        _add_terms(ctx, sums, terms)
+        out = self._e2cache[(n, j, k)] = self._entries(sums)
         return out
 
     # -- products --------------------------------------------------------------
 
-    def _mono_mul_into(self, out, m1, m2, coeff):
-        i1, j1, k1, n1 = m1
-        i2, j2, k2, n2 = m2
-        q_pow = self.ctx.q_pow
-        for (a, b, _, c), cb in self._e2n(n1, j2, 0).items():
-            lead = coeff * cb
-            for (p, qq, r, u), ca in self._e2n(c, 0, k2).items():
-                co = lead * ca
-                shift = b + qq
-                if k1 and shift:
-                    co = co * q_pow(-2 * k1 * shift)
-                key = (i1 + i2 + a + p, j1 + shift, k1 + r, u + n2)
-                acc = out.get(key)
-                out[key] = co if acc is None else acc + co
+    def _integral(self, x):
+        """(terms, D): x over D, the lcm of its denominators, with a term
+        (monomial, vec, k, s) for each coefficient s * q^k * vec / D."""
+        units, one = self.ctx._unit_exp, self.ctx.one.num
+        D = math.lcm(*[c.den for c in x.terms.values()])
+        return [(key, c.num, 0, D // c.den) if (k := units.get(c.num)) is None
+                else (key, one, k, D // c.den) for key, c in x.terms.items()], D
 
     def mul(self, x, y):
-        out = {}
-        for m1, c1 in x.terms.items():
-            for m2, c2 in y.terms.items():
-                self._mono_mul_into(out, m1, m2, c1 * c2)
-        return PBWElement(self, {k: v for k, v in out.items() if v})
+        """The product in integer arithmetic: each operand over one
+        denominator, the sums of a common scale s1 * s2 kept apart, and one
+        canonical scalar made per output term."""
+        ctx, e2n = self.ctx, self._e2n
+        xs, dx = self._integral(x)
+        ys, dy = self._integral(y)
+        by_scale = {}
+        for (i1, j1, k1, n1), v1, e1, s1 in xs:
+            for (i2, j2, k2, n2), v2, e2, s2 in ys:
+                vec = _times(ctx, v1, v2)
+                i, e = i1 + i2, e1 + e2
+                if not n1:
+                    # no e2 on the left: e1^k1 e3^j2 = q^(-2 k1 j2) e3^j2 e1^k1
+                    terms = (((i, j1 + j2, k1 + k2, n2), vec, e - 2 * k1 * j2),)
+                elif not (j2 or k2):
+                    terms = (((i, j1, k1, n1 + n2), vec, e),)
+                else:
+                    # e2^n1 e3^j2 e1^k2 from the table; e1^k1 moves past its e3^b
+                    terms = [((i + a, j1 + b, k1 + c, d + n2), _times(ctx, vec, ve),
+                              e + ee - 2 * k1 * b)
+                             for (a, b, c, d), ve, ee in e2n(n1, j2, k2)]
+                _add_terms(ctx, by_scale.setdefault(s1 * s2, {}), terms)
+        total = by_scale.pop(1, {})
+        for s, sums in by_scale.items():
+            _add_terms(ctx, total, [(key, tuple(s * v for v in vec), 0)
+                                    for key, vec in sums.items()])
+        den = dx * dy
+        return PBWElement(self, {key: _make(ctx, vec, den)
+                                 for key, vec in total.items() if any(vec)})
 
     # -- derived operations ------------------------------------------------------
 

@@ -100,6 +100,8 @@ CORPUS = {
     "pideg_m8_uqb2": ["pideg", "--m", "8", "--matrix", "uqb2"],
     "pideg_m9_balg": ["pideg", "--m", "9", "--matrix", "balg"],
     "pideg_m7_qaspace": ["pideg", "--m", "7", "--matrix", "qaspace"],
+    "nf_m13_fractional": ["nf", "--m", "13", "(q^3*zt-z1)^2*e1^3"],
+    "central_m13_fraction_witness": ["central", "--m", "13", "z*zt*e1/(q^2-1)"],
 }
 
 

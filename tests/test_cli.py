@@ -1,4 +1,7 @@
 import json
+import pathlib
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -268,3 +271,38 @@ def test_exponent_above_the_cap_is_a_parse_error(capsys):
         assert "exponent exceeds" in err and err.count("\n") == 1, expression
     code, out, _ = run_cli(capsys, "nf", "--m", "5", "e1^%d" % expr.MAX_EXPONENT)
     assert code == 0 and out["terms"][0]["k"] == expr.MAX_EXPONENT
+
+
+_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+_JSON_EDGE_CASES = [
+    {}, [], (), {"a": {}}, {"a": []}, [[], {}], [[[]]], {"a": {"b": {}}},
+    "plain", "é ü   \U0001f600", "quote \" backslash \\ newline \n tab \t nul \x00",
+    ["é", "\x1f", ""], True, False, None, [True, False, None], {"t": True, "f": False, "n": None},
+    (1, 2), {"x": (1, ("a", "b"))}, [("a", "b"), ("c",), ()],
+    {1: "a", 2: [True]}, {"a": {1: 2}}, {True: 1}, {None: [1]},
+    0, -5, 10 ** 40, [-(10 ** 40), 0], 1.5, [0.1, -2.0], {"deep": [{"b": [1, {"c": {"d": []}}]}]},
+]
+
+
+@pytest.mark.parametrize("path", sorted(_GOLDEN.glob("*.json")), ids=lambda p: p.stem)
+def test_writer_matches_json_dumps_on_every_golden(path):
+    payload = json.loads(path.read_text())
+    assert cli._dumps(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize("value", _JSON_EDGE_CASES, ids=repr)
+def test_writer_matches_json_dumps_on_edge_cases(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2)
+    assert cli._dumps({"k": [value]}) == json.dumps({"k": [value]}, indent=2)
+
+
+@pytest.mark.parametrize("m", (5, 7, 12, 13))
+def test_scalar_json_prints_as_fraction(m):
+    ctx = cyclotomic.field_init(m)
+    rng = random.Random(m)
+    for _ in range(200):
+        nums = [rng.choice((0, rng.randrange(-60, 60), rng.randrange(-2 ** 70, 2 ** 70)))
+                for _ in range(ctx.degree)]
+        c = cyclotomic._make(ctx, nums, rng.choice((1, rng.randrange(1, 50), 2 ** 65 + 1)))
+        assert cli.scalar_json(c) == [str(Fraction(n, c.den)) for n in c.num]

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from uqb2 import expr, structure
+from uqb2 import expr, pbw, structure
+from uqb2.pbw import PBWAlgebra
 
 
 def test_commutator_definition_parses_to_generator(algebra_factory):
@@ -131,3 +132,18 @@ def test_eval_scalar(context_factory):
     assert expr.eval_scalar("q^2/(q^2-1)", ctx) == q2 / (q2 - 1)
     with pytest.raises(ValueError):
         expr.eval_scalar("e1", ctx)
+
+
+def test_named_elements_built_once_per_expression(monkeypatch, context_factory):
+    # z1 is defined through zt; within one expression each is built once
+    alg = PBWAlgebra(context_factory(7))
+    zt, z1 = structure.named(alg, "z_tilde"), structure.named(alg, "z_one")
+    built = []
+    combine = pbw._combine
+    monkeypatch.setattr(pbw, "_combine",
+                        lambda terms, *rest: built.append(terms) or combine(terms, *rest))
+    assert expr.evaluate("z1*zt + z1 - zt^2*z1", alg) == z1 * zt + z1 - zt ** 2 * z1
+    assert len(built) == 2
+    # nothing is kept between two evaluations
+    assert expr.evaluate("zt", alg) == zt
+    assert len(built) == 3

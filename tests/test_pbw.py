@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -244,3 +245,52 @@ def test_element_arithmetic(kind, m, algebra_factory, context_factory):
     if kind == "pbw":
         assert expr.evaluate(repr(x), alg) == x
         assert expr.to_src(x) == repr(x)
+
+
+def _fractional_element(alg, rng, nterms=3, max_deg=3):
+    """Terms whose coefficients have denominators: 1/(q^2 - 1) (its norm is
+    a power of p at m = p^a), 1/3, and -q^k, which is not a unit row at odd m."""
+    ctx = alg.ctx
+    pool = [(ctx.q_pow(2) - 1).invert(), ctx.from_fraction(Fraction(1, 3)),
+            -ctx.q_pow(3), 2 - ctx.q]
+    terms = {}
+    for _ in range(nterms):
+        key = tuple(rng.randrange(max_deg + 1) for _ in range(4))
+        while sum(key) > max_deg:
+            key = tuple(rng.randrange(max_deg + 1) for _ in range(4))
+        terms[key] = ctx.q_pow(rng.randrange(ctx.m)) * rng.choice(pool) * rng.choice(pool)
+    return alg.element(terms)
+
+
+def _torus_image(x, T, images):
+    """Image of a PBW element under torus.embedding_image: z^i e3^j e1^k e2^n
+    goes to the product of the images, in that order."""
+    out = T.zero()
+    for (i, j, k, n), c in x.terms.items():
+        out = out + c * images["z"] ** i * images["e3"] ** j * images["e1"] ** k * images["e2"] ** n
+    return out
+
+
+def _assert_canonical(x):
+    for c in x.terms.values():
+        assert c.den > 0 and math.gcd(c.den, *c.num) == 1, c
+
+
+@pytest.mark.parametrize("m", (5, 7, 8, 13, 16))
+def test_products_with_fractional_coefficients(m, algebra_factory):
+    alg = algebra_factory(m)
+    T = torus.quantum_torus(alg.ctx)
+    images = {g: torus.embedding_image(T, g) for g in ("e1", "e2", "e3", "z")}
+    rng = random.Random(1600 + m)
+    fractional = 0
+    for _ in range(15):
+        x, y, w = (_fractional_element(alg, rng) for _ in range(3))
+        xy = x * y
+        left, right = xy * w, x * (y * w)
+        assert left == right
+        for p in (xy, left):
+            _assert_canonical(p)
+        fractional += sum(c.den > 1 for c in xy.terms.values())
+        image = _torus_image(x, T, images) * _torus_image(y, T, images)
+        assert _torus_image(xy, T, images) == image
+    assert fractional  # the common-denominator path ran

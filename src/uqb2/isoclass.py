@@ -5,7 +5,7 @@ p in [0, l-1] for the closed-form matching equations of each family, and an
 independent brute-force intertwiner solver that looks for an invertible T
 with A_g T = T B_g for all generator actions (row-vector right modules, so
 such a T is exactly a module isomorphism).  The solver spins one eigenvector
-mod p (the MeatAxe isomorphism test) and only then solves for T exactly.
+(the MeatAxe isomorphism test) mod p, else over the field; sums match summands.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .repmod import (base_family, build, choose_theta, eigenvectors, replay, residue_action,
-                     spin, word_matrix)
+from .cyclotomic import residue_map
+from .repmod import (base_family, build, choose_theta, eigenvectors, is_simple, replay, spin,
+                     word_matrix)
 
 
 @dataclass
@@ -71,51 +72,19 @@ def iso_predicate(ctx, params1, params2):
     return IsoVerdict(isomorphic=False)
 
 
-def iso_witnesses(ctx, params1, params2):
-    """All witnesses p in [0, l-1]; more than one signals a redundant range."""
-    if params1.family != params2.family:
-        return []
-    kind = base_family(params1.family)
-    return [p for p in range(ctx.l) if _witness(ctx, kind, params1, params2, p)]
-
-
-def _commute(act1, act2, T, p=None):
-    """True iff A_g T = T B_g for every generator g, over F_p when ``p`` is given."""
-    return all(linalg.mat_mul(act1[g], T, p) == linalg.mat_mul(T, act2[g], p) for g in act1)
+def _commute(gens1, gens2, T, p=None):
+    """True iff G1 T = T G2 for each pair of generator matrices, over F_p when ``p`` is given."""
+    return all(linalg.mat_mul(A, T, p) == linalg.mat_mul(T, B, p) for A, B in zip(gens1, gens2))
 
 
 def intertwines(r1, r2, T):
     """True iff A_g T = T B_g for every generator action."""
-    return _commute(r1.act, r2.act, T)
+    return _commute(r1.act.values(), [r2.act[g] for g in r1.act], T)
 
 
-def _system_rows(act1, act2, d):
-    """Sparse rows {column: coefficient} of A_g T - T B_g = 0 in the entries of T.
-
-    Row (i, j) is built from row i of A_g and row j of the transpose of B_g,
-    so one generator costs O(d^2 * nnz) rather than O(d^3).  Works on field
-    scalars and on residues mod p alike: each coefficient is one entry, or
-    the difference A[i][i] - B[j][j] of two.
-    """
-    rows = []
-    for gname in sorted(act1):
-        bcols = linalg.transpose(act2[gname])
-        for i, arow in enumerate(act1[gname]):
-            for j, bcol in enumerate(bcols):
-                row = {k * d + j: x for k, x in arow.items()}
-                for k, y in bcol.items():
-                    col = i * d + k
-                    x = row.get(col)
-                    row[col] = -y if x is None else x - y
-                row = {c: v for c, v in row.items() if v}
-                if row:
-                    rows.append(row)
-    return rows
-
-
-def _solve(basis1, basis2, p=None):
-    """T with B1 T = B2 for the rows of B1 and B2, or None when B1 is singular."""
-    d, ech = len(basis1), linalg.SparseEchelon(p)
+def _solve(basis1, basis2, d, p=None):
+    """T with B1 T = B2 for the rows of B1 and B2, or None when B1 has rank below d."""
+    ech = linalg.SparseEchelon(p)
     for u, w in zip(basis1, basis2):
         ech.insert({**u, **{d + j: x for j, x in w.items()}})
     if any(k not in ech.rows for k in range(d)):
@@ -123,86 +92,116 @@ def _solve(basis1, basis2, p=None):
     return [{j - d: x for j, x in ech.rows[k].items() if j >= d} for k in range(d)]
 
 
-def _spin_intertwiner(r1, r2):
-    """The MeatAxe isomorphism test: ``(True, T or None)`` when it decides,
-    ``(False, None)`` when the system in all d*d entries of T must.
+def _spun_candidate(gens1, gens2, word, i, ctx, p=None, words=None):
+    """``(decided, T or None, words)`` from theta, the product of ``gens[g]``
+    for g in ``word``, and lambda = theta1[i][i], over F_p or the field.
 
-    theta (``choose_theta`` on r1 mod p) has a simple eigenvalue lambda; v1
-    and v2 span the null spaces of theta - lambda on r1 and r2.  An invertible
-    T makes the two thetas similar, so nullity 0 on r2 rules it out.  Any
-    intertwiner sends v1 to a multiple of v2, so once v1 spins to the whole
-    space (basis B1) it is a multiple of the T with B1 T = B2, the same words
-    on v2.  A nonzero intertwiner over the field reduces to a nonzero one mod
-    p, so a T mod p that does not intertwine rules T out too.
+    v1 and v2 span the null spaces of theta - lambda.  Any intertwiner sends
+    v1 to a multiple of v2, so once v1 spins to the whole space (basis B1,
+    or ``words`` replayed) it is a multiple of the T with B1 T = B2, the same
+    words on v2: T intertwines or nothing nonzero does.  An isomorphism makes
+    the thetas similar, so where theta1 was chosen (no ``words``) and has
+    nullity 1, nullity 0 on r2 rules it out; so does an exact nullity above
+    1, but not one mod p, as reduction can only raise a nullity.
     """
-    reduced1, reduced2 = residue_action(r1), residue_action(r2)
-    if reduced1 is None or reduced2 is None:
+    thetas = [word_matrix(gens, word, p) for gens in (gens1, gens2)]
+    lam = thetas[0][i].get(i, 0 if p else ctx.zero)
+    null2 = eigenvectors(thetas[1], lam, ctx, p)
+    if len(null2) != 1:
+        return words is None and (not null2 or p is None), None, None
+    null1 = eigenvectors(thetas[0], lam, ctx, p)
+    if len(null1) != 1:
+        return False, None, None
+    if words is None:
+        basis1, words = spin(gens1, p, null1[0])
+    else:
+        basis1 = replay(gens1, null1[0], words, p)
+    T = _solve(basis1, replay(gens2, null2[0], words, p), len(gens1[0]), p)
+    if T is None:
+        return False, None, None
+    return True, T if _commute(gens1, gens2, T, p) else None, words
+
+
+def _spin_intertwiner(r1, r2, p=None):
+    """The MeatAxe isomorphism test on the actions mod p (``p`` from
+    ``cyclotomic.residue_map``) or, when ``p`` is None, over the field:
+    ``(True, T or None)`` when it decides, ``(False, None)`` when not.
+
+    theta (``choose_theta`` on r1) is triangular with a diagonal entry lambda
+    occurring once, so theta1 - lambda has nullity 1.  A nonzero intertwiner
+    over the field reduces to a nonzero one mod p, so every "no" mod p is
+    final; a T mod p that intertwines fixes the words, replayed exactly.
+    """
+    exact = [[r.act[g] for g in r1.act] for r in (r1, r2)]
+    gens = exact if p is None else [[linalg.mat_residues(G) for G in gs] for gs in exact]
+    if any(G is None for gs in gens for G in gs):
         return False, None
-    p, d, names = reduced1[0], r1.dim, list(r1.act)
-    gens1, gens2 = ([red[1][g] for g in names] for red in (reduced1, reduced2))
-    chosen = choose_theta(gens1, p)
+    chosen = choose_theta(gens[0], p)
     if chosen is None:
         return False, None
-    word, theta, i = chosen
-    lam = theta[i].get(i, 0)
-    null2 = eigenvectors(word_matrix(gens2, word, p), lam, p=p)
-    if not null2:
+    word, _, i = chosen
+    decided, T, words = _spun_candidate(*gens, word, i, r1.ctx, p)
+    full_rank = False
+    if p is not None and T is not None:
+        full_rank = linalg.mat_rank(T, p) == r1.dim  # then so is the rank of the exact T
+        decided, T, _ = _spun_candidate(*exact, word, i, r1.ctx, words=words)
+    if T is not None and not (full_rank or linalg.is_invertible(T)):
         return True, None
-    basis1, words = spin(gens1, p, eigenvectors(theta, lam, p=p)[0])
-    if len(null2) > 1 or len(words) < d:
-        return False, None
-    T = _solve(basis1, replay(gens2, null2[0], words, p), p)
-    if not _commute(reduced1[1], reduced2[1], T, p):
-        return True, None
-    full_rank = linalg.mat_rank(T, p) == d  # then so is the rank of the exact T
-    exact = [[r.act[g] for g in names] for r in (r1, r2)]
-    thetas = [word_matrix(gens, word) for gens in exact]
-    lam = thetas[0][i].get(i, r1.ctx.zero)
-    null1, null2 = (eigenvectors(t, lam, r1.ctx) for t in thetas)
-    if len(null1) != 1 or len(null2) != 1:
-        return False, None
-    T = _solve(replay(exact[0], null1[0], words), replay(exact[1], null2[0], words))
-    if T is None:
-        return False, None
-    if not intertwines(r1, r2, T) or not (full_rank or linalg.is_invertible(T)):
-        return True, None
-    last = next(row for row in reversed(T) if row)
-    return True, linalg.mat_scale(T, last[max(last)].invert())
+    return decided, T
 
 
-# q-power weighted combinations of a solution basis tried for invertibility
-_COMBINATIONS = 8
+def _leaves(rep):
+    """The summands of a recorded direct sum, nested sums flattened, else [rep]."""
+    return [leaf for s in rep.summands for leaf in _leaves(s)] if rep.summands else [rep]
+
+
+def _sum_intertwiner(r1, r2):
+    """Krull-Schmidt: sums of simple modules are isomorphic exactly when their
+    summands match up to order, and as isomorphism is an equivalence
+    relation a greedy match finds one if there is one.  T is the block
+    permutation of the summands' intertwiners.
+    """
+    leaves1, leaves2 = _leaves(r1), _leaves(r2)
+    if not all(is_simple(s).simple for s in leaves1 + leaves2):
+        raise ValueError("a summand of the direct sum is not simple")
+    starts = [sum(s.dim for s in leaves2[:k]) for k in range(len(leaves2))]
+    T, free = [], list(range(len(leaves2)))
+    for leaf in leaves1:
+        for k in free:
+            S = find_intertwiner(leaf, leaves2[k])
+            if S is not None:
+                break
+        else:
+            return None
+        free.remove(k)
+        T += [{starts[k] + j: x for j, x in row.items()} for row in S]
+    return T
 
 
 def find_intertwiner(r1, r2):
-    """Invertible solution T of the joint system A_g T = T B_g, or None.
+    """Invertible T with A_g T = T B_g for every generator g, or None.
 
-    ``_spin_intertwiner`` decides every pair of simple modules this package
-    builds.  Other inputs, such as direct sums, solve for all d*d entries of
-    T exactly, then try the solution basis and a fixed set of combinations,
-    which can in principle miss an invertible one.  T is scaled as the exact
-    nullspace scales a basis vector: its last nonzero entry (row-major) is 1.
+    Two recorded direct sums are decided by ``_sum_intertwiner``, any other
+    pair by ``_spin_intertwiner`` mod p, else over the field, which decides
+    whenever r1 has a theta there and v1 spins to the whole space, as it does
+    when r1 is simple.  Any other input, such as a sum paired with a simple
+    module or one whose generators all act as scalars, raises ``ValueError``.
+    T is scaled as the exact nullspace scales a basis vector: its last
+    nonzero entry (row-major) is 1.
     """
     if r1.dim != r2.dim or set(r1.act) != set(r2.act):
         return None
-    decided, T = _spin_intertwiner(r1, r2)
-    if decided:
-        return T
-    ctx, d = r1.ctx, r1.dim
-    basis = linalg.nullspace(_system_rows(r1.act, r2.act, d), d * d, ctx)
-    mats = [[{k % d: x for k, x in v.items() if k // d == i} for i in range(d)] for v in basis]
-    for T in mats:
-        if linalg.is_invertible(T):
-            return T
-    if len(mats) > 1:
-        # deterministic combinations with q-power weights
-        for t in range(1, _COMBINATIONS + 1):
-            combo = linalg.zero_matrix(d)
-            for s, M in enumerate(mats):
-                combo = linalg.mat_add(combo, linalg.mat_scale(M, ctx.q_pow(t * (s + 1)) + t))
-            if linalg.is_invertible(combo):
-                return combo
-    return None
+    if r1.summands and r2.summands:
+        return _sum_intertwiner(r1, r2)
+    decided, T = _spin_intertwiner(r1, r2, residue_map(r1.ctx.m)[0])
+    if not decided:
+        decided, T = _spin_intertwiner(r1, r2)
+    if not decided:
+        raise ValueError("the first module has no theta over the field or is not simple")
+    if T is None:
+        return None
+    last = next(row for row in reversed(T) if row)
+    return linalg.mat_scale(T, last[max(last)].invert())
 
 
 def isomorphism_verdict(ctx, params1, params2):

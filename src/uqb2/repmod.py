@@ -354,9 +354,9 @@ def is_simple(rep):
     A direct sum of two summands that are both certified simple is decided
     without a closure: by the density theorem its span is d1^2 + d2^2, or
     d1^2 when the summands are isomorphic.  Equal action matrices are
-    isomorphic; otherwise ``isoclass.find_intertwiner`` decides exactly.  A
-    sum with a summand that is not certified simple runs Norton's test and
-    the closure.
+    isomorphic; otherwise ``isoclass.find_intertwiner`` decides exactly (its
+    MeatAxe test decides every simple r1).  A sum with a summand that is not
+    certified simple runs Norton's test and the closure.
     """
     if rep.summands:
         r1, r2 = rep.summands

@@ -30,11 +30,16 @@ def algebra_factory():
 
 
 @pytest.fixture
-def system_rows_calls(monkeypatch):
-    """The arguments of every ``isoclass._system_rows`` call, the exact
-    intertwiner system in all d*d entries of T."""
+def exact_spin_calls(monkeypatch):
+    """The module pairs of every run of ``isoclass._spin_intertwiner`` over
+    the field (``p`` None), the exact isomorphism test."""
     calls = []
-    system_rows = isoclass._system_rows
-    monkeypatch.setattr(isoclass, "_system_rows",
-                        lambda *args: calls.append(args) or system_rows(*args))
+    spin = isoclass._spin_intertwiner
+
+    def counted(r1, r2, p=None):
+        if p is None:
+            calls.append((r1, r2))
+        return spin(r1, r2, p)
+
+    monkeypatch.setattr(isoclass, "_spin_intertwiner", counted)
     return calls

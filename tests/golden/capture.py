@@ -102,6 +102,17 @@ CORPUS = {
     "pideg_m7_qaspace": ["pideg", "--m", "7", "--matrix", "qaspace"],
     "nf_m13_fractional": ["nf", "--m", "13", "(q^3*zt-z1)^2*e1^3"],
     "central_m13_fraction_witness": ["central", "--m", "13", "z*zt*e1/(q^2-1)"],
+    # gamma = 1/p and alpha = p, 2p, with p the residue prime of m: nothing
+    # is decided mod p, so these pin the exact isomorphism test
+    "iso_m5_V1p_no_residue": ["iso", "--m", "5", "--family", "V1p",
+                              "--params1", "1,1,1/2147483171,0",
+                              "--params2", "1,1,1/2147483171,0"],
+    "iso_m5_V4p_residue_prime": ["iso", "--m", "5", "--family", "V4p",
+                                 "--params1", "2147483171,0,0",
+                                 "--params2", "4294966342,0,0"],
+    "iso_m21_V2p_no_residue": ["iso", "--m", "21", "--family", "V2p",
+                               "--params1", "1,1,1/2147483647",
+                               "--params2", "1,1,1/2147483647"],
 }
 
 

@@ -3,9 +3,11 @@ exact computations they stand in front of.
 
 A full rank mod p proves full rank over Q(zeta_m), and a spun eigenvector
 decides an intertwiner; every other outcome must fall back to the exact
-path, which alone reports a span below d*d.
+path, which alone reports a span below d*d.  The intertwiners are checked
+against the system in all d*d entries of T, written out densely here.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -38,8 +40,20 @@ def _exact_span(rep):
 
 
 def _exact_solutions(r1, r2):
-    rows = isoclass._system_rows(r1.act, r2.act, r1.dim)
-    return linalg.nullspace(rows, r1.dim ** 2, r1.ctx)
+    """Basis of the T with A_g T = T B_g: row (g, i, j) of the system is
+    entry (i, j) of A_g T - T B_g in the d*d unknowns T[k][j] = x[k*d + j]."""
+    d = r1.dim
+    rows = []
+    for g in sorted(r1.act):
+        A, B = ([[row.get(j, 0) for j in range(d)] for row in r.act[g]] for r in (r1, r2))
+        for i in range(d):
+            for j in range(d):
+                row = {}
+                for k in range(d):
+                    row[k * d + j] = row.get(k * d + j, 0) + A[i][k]
+                    row[i * d + k] = row.get(i * d + k, 0) - B[k][j]
+                rows.append({c: v for c, v in row.items() if v})
+    return linalg.nullspace(rows, d * d, r1.ctx)
 
 
 def _as_matrix(vec, d):
@@ -60,15 +74,16 @@ def test_modular_simplicity_matches_exact_span(context_factory, m):
 @pytest.mark.parametrize("m", MS)
 def test_modular_intertwiner_verdict_matches_exact(context_factory, m):
     ctx = context_factory(m)
+    p, _ = residue_map(m)
     for family in repmod.FAMILIES:
         first, second = _params(ctx, family)
         r1, r2 = _module(ctx, family, first), _module(ctx, family, second)
         # distinct parameters: ruled out by the spin, and the exact system agrees
-        assert isoclass._spin_intertwiner(r1, r2) == (True, None), (m, family)
+        assert isoclass._spin_intertwiner(r1, r2, p) == (True, None), (m, family)
         assert isoclass.find_intertwiner(r1, r2) is None
         assert _exact_solutions(r1, r2) == []
         # equal parameters: the spin finds T, the one exact solution
-        decided, T = isoclass._spin_intertwiner(r1, r1)
+        decided, T = isoclass._spin_intertwiner(r1, r1, p)
         assert decided and T is not None and isoclass.intertwines(r1, r1, T)
         assert isoclass.find_intertwiner(r1, r1) == T
         assert len(_exact_solutions(r1, r1)) == 1
@@ -147,7 +162,7 @@ def test_wrong_isomorphism_verdict_is_caught(context_factory, monkeypatch):
 
 
 @pytest.mark.parametrize("m", (5, 8))
-def test_parameter_with_denominator_p_falls_back(context_factory, m):
+def test_parameter_with_denominator_p_falls_back(context_factory, exact_spin_calls, m):
     ctx = context_factory(m)
     p, _ = residue_map(m)
     small = Fraction(1, p)
@@ -157,13 +172,14 @@ def test_parameter_with_denominator_p_falls_back(context_factory, m):
     assert cert == repmod.SimplicityCertificate(True, rep.dim ** 2, "exact")
     other = _module(ctx, "V1p", (1, 1, 2 * small, 0))
     # no residues, so nothing is decided mod p
-    assert isoclass._spin_intertwiner(rep, other) == (False, None)
+    assert isoclass._spin_intertwiner(rep, other, p) == (False, None)
     assert isoclass.find_intertwiner(rep, other) is None
+    assert len(exact_spin_calls) == 1
     T = isoclass.find_intertwiner(rep, rep)
     assert T is not None and isoclass.intertwines(rep, rep, T)
 
 
-def test_span_lost_mod_p_falls_back(context_factory, system_rows_calls):
+def test_span_lost_mod_p_falls_back(context_factory, exact_spin_calls):
     # alpha = p vanishes mod p, and with it every entry of V4p but the
     # nilpotent shift in e2: the span mod p stays below d*d, the exact one
     # does not
@@ -176,10 +192,10 @@ def test_span_lost_mod_p_falls_back(context_factory, system_rows_calls):
     assert repmod.is_simple(rep) == repmod.SimplicityCertificate(True, d * d, "exact")
     # equal mod p, not isomorphic over the field
     other = _module(ctx, "V4p", (2 * p, 0, 0))
-    assert isoclass._spin_intertwiner(rep, other) == (False, None)
+    assert isoclass._spin_intertwiner(rep, other, p) == (False, None)
     assert isoclass.find_intertwiner(rep, other) is None
     assert not isoclass.iso_predicate(ctx, rep.params, other.params).isomorphic
-    assert len(system_rows_calls) == 1
+    assert len(exact_spin_calls) == 1
 
 
 def _pairs(ctx, family):
@@ -191,17 +207,14 @@ def _pairs(ctx, family):
 
 
 @pytest.mark.parametrize("m", MS)
-def test_family_pairs_never_reach_the_exact_system(context_factory, monkeypatch, m):
-    def no_system(*args):
-        raise AssertionError("the d*d-unknown system was built")
-
-    monkeypatch.setattr(isoclass, "_system_rows", no_system)
+def test_family_pairs_never_reach_the_exact_system(context_factory, exact_spin_calls, m):
     ctx = context_factory(m)
     for family in repmod.FAMILIES:
         for r1, r2 in _pairs(ctx, family):
             T = isoclass.find_intertwiner(r1, r2)
             iso = isoclass.iso_predicate(ctx, r1.params, r2.params).isomorphic
             assert iso == (T is not None), (m, family, r1.params, r2.params)
+    assert exact_spin_calls == []
 
 
 @pytest.mark.parametrize("m", MS)
@@ -215,3 +228,90 @@ def test_spun_intertwiner_is_the_scaled_exact_solution(context_factory, m):
             if T is not None:
                 (vec,) = _exact_solutions(r1, r2)
                 assert T == _as_matrix(vec, r1.dim), (m, family)
+
+
+def _sum_intertwiner_checked(r1, r2):
+    T = isoclass.find_intertwiner(r1, r2)
+    assert T is not None and isoclass.intertwines(r1, r2, T) and linalg.is_invertible(T)
+    return T
+
+
+def test_swapped_summands_are_isomorphic(context_factory, exact_spin_calls):
+    # Krull-Schmidt: T maps each summand of A + B onto its copy in B + A, off
+    # the block diagonal
+    ctx = context_factory(5)
+    first, second = _params(ctx, "V2p")
+    A, B = _module(ctx, "V2p", first), _module(ctx, "V2p", second)
+    d = A.dim
+    T = _sum_intertwiner_checked(repmod.direct_sum(A, B), repmod.direct_sum(B, A))
+    assert all(min(row) >= d for row in T[:d]) and all(max(row) < d for row in T[d:])
+    assert isoclass.find_intertwiner(repmod.direct_sum(A, B), repmod.direct_sum(A, A)) is None
+    assert exact_spin_calls == []
+
+
+def test_nested_sums_match_up_to_order(context_factory):
+    ctx = context_factory(8)
+    first, second = _params(ctx, "V3p")
+    A, B = _module(ctx, "V3p", first), _module(ctx, "V3p", second)
+    S = repmod.direct_sum
+    _sum_intertwiner_checked(S(S(A, B), A), S(A, S(A, B)))
+    assert isoclass.find_intertwiner(S(S(A, B), A), S(B, S(A, B))) is None
+
+
+def test_sums_of_isomorphic_summands_with_unequal_matrices(context_factory):
+    ctx = context_factory(5)
+    M, N = _isomorphic_v1p_pair(ctx)
+    A = _module(ctx, "V1p", _params(ctx, "V1p")[0])
+    _sum_intertwiner_checked(repmod.direct_sum(M, A), repmod.direct_sum(A, N))
+
+
+def test_exact_nullity_rules_out_an_isomorphism(context_factory, exact_spin_calls):
+    # gamma = 1/p leaves no residues; over the field e3 - lambda, lambda an
+    # eigenvalue of e3 on the first module, has nullity 0 on the second
+    ctx = context_factory(5)
+    p, _ = residue_map(5)
+    r1, r2 = (_module(ctx, "V1p", (1, beta, Fraction(1, p), 0)) for beta in (1, 2))
+    assert isoclass._spin_intertwiner(r1, r2) == (True, None)
+    assert isoclass.find_intertwiner(r1, r2) is None
+    assert len(exact_spin_calls) == 2
+    # every generator acting by lambda: nullity d, not 1
+    word, theta, i = repmod.choose_theta(list(r1.act.values()), None)
+    assert len(word) == 1
+    lam = theta[i][i]
+    scalar = repmod.Representation("scalar", None, r1.dim,
+                                   {g: linalg.scalar_matrix(r1.dim, lam) for g in r1.act}, ctx)
+    assert isoclass.find_intertwiner(r1, scalar) is None
+
+
+def test_singular_intertwiner_is_not_an_isomorphism(context_factory):
+    # e_1 spins to the whole of a non-split extension, and the one intertwiner
+    # onto its semisimple counterpart kills e_0
+    ctx = context_factory(5)
+    e3 = [{0: ctx.one}, {1: ctx.scalar(2)}]
+    r1, r2 = (repmod.Representation(name, None, 2, {"e1": e1, "e3": e3}, ctx)
+              for name, e1 in (("extension", [{}, {0: ctx.one}]), ("split", [{}, {}])))
+    assert isoclass._spin_intertwiner(r1, r2, residue_map(5)[0]) == (True, None)
+    assert isoclass.find_intertwiner(r1, r2) is None
+    assert isoclass.intertwines(r1, r2, [{}, {1: ctx.one}])
+
+
+def test_undecidable_inputs_raise(context_factory):
+    ctx = context_factory(8)
+    zero = {g: linalg.zero_matrix(2) for g in ("e1", "e3", "z", "zt")}
+    Z = repmod.Representation("zero", None, 2, zero, ctx)
+    with pytest.raises(ValueError):
+        isoclass.find_intertwiner(Z, Z)
+    # e3 = diag(1, q^2) + diag(-1, -q^2) on the sum, and diag(q^-2k) on V1:
+    # the eigenvalue -q^2 is shared, and its eigenvector spins inside one
+    # summand, mod p and over the field
+    total = repmod.direct_sum(_module(ctx, "V3", (1, 1)), _module(ctx, "V3", (-1, 1)))
+    simple = _module(ctx, "V1", (1, 1, 1, 0))
+    assert total.dim == simple.dim == 4
+    with pytest.raises(ValueError):
+        isoclass.find_intertwiner(total, simple)
+    # a summand that is a sum not recorded as one: matching A with A would
+    # leave V3(1, 1) against a 4-dimensional summand, a wrong "no"
+    A = _module(ctx, "V1", (1, 1, 1, 0))
+    rebuilt = dataclasses.replace(total, summands=())
+    with pytest.raises(ValueError):
+        isoclass.find_intertwiner(repmod.direct_sum(A, total), repmod.direct_sum(A, rebuilt))

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from uqb2 import conformance, isoclass, linalg, repmod
+from uqb2.cyclotomic import residue_map
 
 
 def _pool(ctx, rng, allow_zero=False):
@@ -163,14 +164,6 @@ def test_explicit_shift_map_is_an_intertwiner(context_factory):
             assert S[i][j] == ratio * T[i][j]
 
 
-def test_witnesses_listing(context_factory):
-    ctx = context_factory(5)
-    p = repmod.module_params(ctx, "V3p", 1, 1)
-    assert isoclass.iso_witnesses(ctx, p, p) == [0]
-    other = repmod.module_params(ctx, "V3p", ctx.q_pow(2), 1)
-    assert isoclass.iso_witnesses(ctx, other, p) == []
-
-
 def test_verdict_carries_intertwiner(context_factory):
     ctx = context_factory(5)
     p = repmod.module_params(ctx, "V4p", 1, 1, 1)
@@ -181,17 +174,16 @@ def test_verdict_carries_intertwiner(context_factory):
 @pytest.mark.parametrize("m", [5, 8])
 @pytest.mark.parametrize("family", ["V1p", "V2p", "V3p", "V4p"])
 def test_intertwiner_of_a_sum_of_two_simples_is_a_combination(context_factory,
-                                                               system_rows_calls, m, family):
+                                                               exact_spin_calls, m, family):
     # End(A + B) for simple A, B that are not isomorphic is spanned by the two
-    # projections, both singular, so only a combination of the nullspace basis
-    # is invertible; the spin of one eigenvector stays inside one summand, so
-    # the exact system decides
+    # projections, both singular, so T combines them; the spin of one
+    # eigenvector stays inside one summand, so the summands decide, mod p
     ctx = context_factory(m)
     pa, pb = conformance._sample_params(ctx, family)
     S = repmod.direct_sum(repmod.build(ctx, pa), repmod.build(ctx, pb))
-    assert isoclass._spin_intertwiner(S, S) == (False, None)
+    assert isoclass._spin_intertwiner(S, S, residue_map(m)[0]) == (False, None)
     T = isoclass.find_intertwiner(S, S)
-    assert len(system_rows_calls) == 1
+    assert exact_spin_calls == []
     assert T is not None
     assert isoclass.intertwines(S, S, T)
     assert linalg.is_invertible(T)

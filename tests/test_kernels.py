@@ -1,10 +1,10 @@
 """The sparse-row matrix kernels, the elimination kernel, the sparse word
 closure and Norton's test against dense references written out here: the
 triple-loop product, the entrywise sum and difference, the transpose,
-Gaussian elimination on a dense copy, the O(d^3) intertwiner system and a
-closure of dense words over every generator, scalar ones included.  The
-kernels take and return rows {column: entry} holding the nonzero entries
-only; the references work on dense lists of lists.
+Gaussian elimination on a dense copy and a closure of dense words over
+every generator, scalar ones included.  The kernels take and return rows
+{column: entry} holding the nonzero entries only; the references work on
+dense lists of lists.
 """
 
 import dataclasses
@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from uqb2 import conformance, isoclass, linalg, repmod
+from uqb2 import conformance, linalg, repmod
 from uqb2.cyclotomic import residue_map
 
 
@@ -198,37 +198,6 @@ def _params(ctx, family):
 def _module(ctx, family, vals=None):
     vals = _params(ctx, family) if vals is None else vals
     return repmod.build(ctx, repmod.module_params(ctx, family, *vals))
-
-
-def _dense_system_rows(act1, act2, d):
-    rows = []
-    for gname in sorted(act1):
-        A, B = _dense(act1[gname], d, 0), _dense(act2[gname], d, 0)
-        for i in range(d):
-            for j in range(d):
-                row = {}
-                for k in range(d):
-                    row[k * d + j] = row.get(k * d + j, 0) + A[i][k]
-                    row[i * d + k] = row.get(i * d + k, 0) - B[k][j]
-                row = {c: v for c, v in row.items() if v}
-                if row:
-                    rows.append(row)
-    return rows
-
-
-@pytest.mark.parametrize("m", (5, 8))
-def test_system_rows_match_the_dense_definition(context_factory, m):
-    ctx = context_factory(m)
-    for family in repmod.FAMILIES:
-        M = _module(ctx, family)
-        N = _module(ctx, family, (1,) * len(_params(ctx, family)))
-        for r1, r2 in ((M, N), (N, M), (M, M)):
-            d = r1.dim
-            assert isoclass._system_rows(r1.act, r2.act, d) == \
-                _dense_system_rows(r1.act, r2.act, d), (m, family)
-            (_, act1), (_, act2) = repmod.residue_action(r1), repmod.residue_action(r2)
-            assert isoclass._system_rows(act1, act2, d) == \
-                _dense_system_rows(act1, act2, d), (m, family)
 
 
 def _dense_rank(rows, ncols, p=None):

@@ -43,7 +43,9 @@ print("its summands (density theorem): its span is d1^2 + d2^2, or d1^2 when the
 print("summands are isomorphic, with no word closure:")
 r = repmod.build(ctx, repmod.module_params(ctx, "V4p", 1, 1, 0))
 s = repmod.build(ctx, repmod.module_params(ctx, "V4p", 2, 1, 0))
-for label, other in (("V4p + V4p, same", r), ("V4p + V4p, other alpha", s)):
-    cert = repmod.is_simple(repmod.direct_sum(r, other))
+S = repmod.direct_sum
+for label, total in (("V4p + V4p, same", S(r, r)), ("V4p + V4p, other alpha", S(r, s)),
+                     ("(same + same) + other", S(S(r, r), s))):
+    cert = repmod.is_simple(total)
     print("  %-22s simple: %s  span: %d of %d  path: %s" % (
-        label, cert.simple, cert.span_dim, (2 * r.dim) ** 2, cert.path))
+        label, cert.simple, cert.span_dim, total.dim ** 2, cert.path))

@@ -150,25 +150,21 @@ def _spin_intertwiner(r1, r2, p=None):
     return decided, T
 
 
-def _leaves(rep):
-    """The summands of a recorded direct sum, nested sums flattened, else [rep]."""
-    return [leaf for s in rep.summands for leaf in _leaves(s)] if rep.summands else [rep]
-
-
 def _sum_intertwiner(r1, r2):
     """Krull-Schmidt: sums of simple modules are isomorphic exactly when their
     summands match up to order, and as isomorphism is an equivalence
     relation a greedy match finds one if there is one.  T is the block
-    permutation of the summands' intertwiners.
+    permutation of the summands' intertwiners.  ``direct_sum`` records the
+    summands flat, so a nested sum matches summand by summand.
     """
-    leaves1, leaves2 = _leaves(r1), _leaves(r2)
-    if not all(is_simple(s).simple for s in leaves1 + leaves2):
+    summands1, summands2 = r1.summands, r2.summands
+    if not all(is_simple(s).simple for s in summands1 + summands2):
         raise ValueError("a summand of the direct sum is not simple")
-    starts = [sum(s.dim for s in leaves2[:k]) for k in range(len(leaves2))]
-    T, free = [], list(range(len(leaves2)))
-    for leaf in leaves1:
+    starts = [sum(s.dim for s in summands2[:k]) for k in range(len(summands2))]
+    T, free = [], list(range(len(summands2)))
+    for s1 in summands1:
         for k in free:
-            S = find_intertwiner(leaf, leaves2[k])
+            S = find_intertwiner(s1, summands2[k])
             if S is not None:
                 break
         else:

@@ -80,11 +80,9 @@ class Representation:
     dim: int
     act: dict
     ctx: object
-    summands: tuple = ()  # the two modules of a direct sum, else empty
-
-    @property
-    def generator_names(self):
-        return tuple(self.act)
+    # the flat tuple of non-sum summands of a direct sum, else empty;
+    # ``direct_sum`` is the one constructor that records them
+    summands: tuple = ()
 
 
 def module_dimension(ctx, family):
@@ -171,14 +169,14 @@ def build(ctx, params):
 
 def direct_sum(r1, r2):
     """Block-diagonal sum; useful as a non-simple control."""
-    if r1.generator_names != r2.generator_names or r1.ctx.m != r2.ctx.m:
+    if tuple(r1.act) != tuple(r2.act) or r1.ctx.m != r2.ctx.m:
         raise ValueError("summands are not over the same algebra")
     n = r1.dim
     act = {g: [dict(row) for row in r1.act[g]] + [{n + j: x for j, x in row.items()}
                                                   for row in r2.act[g]]
            for g in r1.act}
     return Representation(family="direct_sum", params=None, dim=n + r2.dim, act=act,
-                          ctx=r1.ctx, summands=(r1, r2))
+                          ctx=r1.ctx, summands=(r1.summands or (r1,)) + (r2.summands or (r2,)))
 
 
 def _matrix_ops():
@@ -351,20 +349,22 @@ def is_simple(rep):
     and reduction mod p can only lower a span.  Any other outcome is decided,
     and ``span_dim`` computed, by the word closure over the field.
 
-    A direct sum of two summands that are both certified simple is decided
-    without a closure: by the density theorem its span is d1^2 + d2^2, or
-    d1^2 when the summands are isomorphic.  Equal action matrices are
+    A direct sum whose summands are all certified simple is decided without
+    a closure: by the density theorem and Krull-Schmidt its span is the sum
+    of d_i^2 over its isomorphism classes.  Equal action matrices are
     isomorphic; otherwise ``isoclass.find_intertwiner`` decides exactly (its
     MeatAxe test decides every simple r1).  A sum with a summand that is not
     certified simple runs Norton's test and the closure.
     """
-    if rep.summands:
-        r1, r2 = rep.summands
-        if is_simple(r1).simple and is_simple(r2).simple:
-            from .isoclass import find_intertwiner  # isoclass imports this module
-            iso = r1.dim == r2.dim and (r1.act == r2.act or find_intertwiner(r1, r2) is not None)
-            span_dim = r1.dim ** 2 if iso else r1.dim ** 2 + r2.dim ** 2
-            return SimplicityCertificate(simple=False, span_dim=span_dim, path="summands")
+    if rep.summands and all(is_simple(s).simple for s in rep.summands):
+        from .isoclass import find_intertwiner  # isoclass imports this module
+        classes = []
+        for s in rep.summands:
+            if not any(r.dim == s.dim and (r.act == s.act or find_intertwiner(r, s) is not None)
+                       for r in classes):
+                classes.append(s)
+        span_dim = sum(s.dim ** 2 for s in classes)
+        return SimplicityCertificate(simple=False, span_dim=span_dim, path="summands")
     target = rep.dim ** 2
     reduced = residue_action(rep)
     if reduced is not None and norton_test(list(reduced[1].values()), reduced[0]):

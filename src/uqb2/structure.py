@@ -1,10 +1,9 @@
 """Derived structural elements and their commutation properties.
 
 ``named`` evaluates the distinguished elements of ``pbw.DEFINITIONS`` on the
-generators.  This module verifies the twisted commutation relations they
-satisfy, the normal-element condition for quotient constructions, and
-centrality both in the full algebra and in the subalgebra generated by e1,
-e3, z, zt; ``zt_power_identity(alg, n)`` returns the residuals of the two zt
+generators.  This module verifies the normal-element condition for quotient
+constructions and centrality both in the full algebra and in the subalgebra
+generated by e1, e3, z, zt; ``zt_power_identity(alg, n)`` returns the residuals of the two zt
 power-commutation identities for every a = 1..n in one pass.
 """
 
@@ -34,11 +33,6 @@ def z_one_ordered_form(alg):
         + e1 * z * (ctx.q_pow(2) - 1).invert()
         + e3 * e3 * (ctx.q_pow(4) - 1).invert()
     )
-
-
-def twisted_commutation_residual(x, g, mu, corr):
-    """x*g - mu*g*x - corr; zero certifies the twisted commutation rule."""
-    return x * g - mu * (g * x) - corr
 
 
 def gwa_condition(alg, rho, alpha, b, sigma_spec):

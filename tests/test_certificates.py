@@ -141,13 +141,44 @@ def test_summands_equal_mod_p_not_isomorphic(context_factory):
     _summand_cert_matches_exact(M, N, 2 * M.dim ** 2)
 
 
-def test_nested_sum_runs_the_closure(context_factory):
+def test_direct_sum_records_flat_summands(context_factory):
+    ctx = context_factory(8)
+    A, B, C = (_module(ctx, "V3", vals) for vals in ((1, 1), (ctx.q, 2), (2, 1)))
+    S = repmod.direct_sum
+    assert S(S(A, B), C).summands == (A, B, C)
+    assert S(A, S(B, C)).summands == (A, B, C)
+
+
+def test_nested_sum_is_decided_by_its_summands(context_factory):
     ctx = context_factory(8)
     M, N = _module(ctx, "V3", (1, 1)), _module(ctx, "V3", (ctx.q, 2))
     total = repmod.direct_sum(repmod.direct_sum(M, M), N)
     d = M.dim
-    assert repmod.is_simple(total) == repmod.SimplicityCertificate(False, 2 * d * d, "exact")
+    assert repmod.is_simple(total) == repmod.SimplicityCertificate(False, 2 * d * d, "summands")
     assert _exact_span(total) == 2 * d * d
+
+
+def test_three_summands_with_an_isomorphic_pair(context_factory):
+    # M and N are isomorphic with unequal matrices; z acts on A by gamma = 2,
+    # on M and N by 1, so A is isomorphic to neither
+    ctx = context_factory(5)
+    M, N = _isomorphic_v1p_pair(ctx)
+    A = _module(ctx, "V1p", _params(ctx, "V1p")[1])
+    _summand_cert_matches_exact(A, repmod.direct_sum(M, N), A.dim ** 2 + M.dim ** 2)
+
+
+def test_summand_rebuilt_without_its_summands_runs_the_closure(context_factory):
+    # the rebuilt M + N is one summand that is not simple, so the summands
+    # decide nothing
+    ctx = context_factory(5)
+    M, N = _isomorphic_v1p_pair(ctx)
+    A = _module(ctx, "V1p", _params(ctx, "V1p")[1])
+    rebuilt = dataclasses.replace(repmod.direct_sum(M, N), summands=())
+    total = repmod.direct_sum(A, rebuilt)
+    assert total.summands == (A, rebuilt)
+    span = A.dim ** 2 + M.dim ** 2
+    assert _exact_span(total) == span
+    assert repmod.is_simple(total) == repmod.SimplicityCertificate(False, span, "exact")
 
 
 def test_wrong_isomorphism_verdict_is_caught(context_factory, monkeypatch):

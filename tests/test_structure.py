@@ -28,11 +28,11 @@ def test_z_tilde_twisted_commutation(algebra_factory, m):
     e1, e2, e3, z = alg.generators()
     zt = structure.named(alg, "z_tilde")
     zero = alg.zero()
-    assert structure.twisted_commutation_residual(zt, e2, ctx.q_pow(-2), zero).is_zero()
-    assert structure.twisted_commutation_residual(zt, e3, ctx.q_pow(2), zero).is_zero()
-    assert structure.twisted_commutation_residual(zt, z, ctx.one, zero).is_zero()
-    assert structure.twisted_commutation_residual(zt, e1, ctx.one, -(e3 * e3)).is_zero()
-    assert structure.twisted_commutation_residual(e3, e3, ctx.one, zero).is_zero()
+    assert (zt * e2 - ctx.q_pow(-2) * (e2 * zt) - zero).is_zero()
+    assert (zt * e3 - ctx.q_pow(2) * (e3 * zt) - zero).is_zero()
+    assert (zt * z - ctx.one * (z * zt) - zero).is_zero()
+    assert (zt * e1 - ctx.one * (e1 * zt) - -(e3 * e3)).is_zero()
+    assert (e3 * e3 - ctx.one * (e3 * e3) - zero).is_zero()
 
 
 def test_gwa_condition_instances(algebra_factory):

@@ -410,6 +410,10 @@ class CycNum:
             return NotImplemented
         if k < 0:
             return self.invert() ** (-k)
+        # a unit q^t has (q^t)^k = q^(tk), with no product
+        t = self.ctx._unit_exp.get(self.num) if self.den == 1 else None
+        if t is not None:
+            return self.ctx.q_pow(t * k)
         result = self.ctx.one
         base = self
         while k:

@@ -13,9 +13,11 @@ An identifier directly followed by a digit is one unknown word, so "e12" and
 "q2" are errors; "e1 2", "e1*2" and "2e1" are products and "e3e2" is e3*e2.
 
 '^' binds tighter than '*' and '/', which bind tighter than '+' and '-';
-products associate to the left.  Negative exponents and division require the
-base (resp. divisor) to be an invertible scalar; 'q^-2' and rationals like
-'3/5' are the common cases.  Evaluation returns the PBW normal form, so
+products associate to the left.  A product x*y^n with x one monomial is
+evaluated as n right multiplications by y, which gives the same normal form
+as x times y^n.  Negative exponents and division require the base (resp.
+divisor) to be an invertible scalar; 'q^-2' and rationals like '3/5' are the
+common cases.  Evaluation returns the PBW normal form, so
 're-parsing the printed form of an element reproduces it exactly.
 """
 
@@ -184,7 +186,17 @@ def _eval(node, alg, images):
     if head == "sub":
         return _eval(node[1], alg, images) - _eval(node[2], alg, images)
     if head == "mul":
-        return _eval(node[1], alg, images) * _eval(node[2], alg, images)
+        left, right = _eval(node[1], alg, images), node[2]
+        if right[0] == "pow" and right[2] >= 1 and len(left.terms) == 1:
+            # a monomial times a power of a sum, one factor at a time: a
+            # large e2^a then meets only the small exponents of the sum
+            base = _eval(right[1], alg, images)
+            if len(base.terms) != 1:
+                for _ in range(right[2]):
+                    left = alg.mul(left, base)
+                return left
+            return left * base ** right[2]
+        return left * _eval(right, alg, images)
     if head == "div":
         divisor = _eval(node[2], alg, images).as_scalar()
         return _eval(node[1], alg, images) * divisor.invert()

@@ -113,6 +113,12 @@ CORPUS = {
     "iso_m21_V2p_no_residue": ["iso", "--m", "21", "--family", "V2p",
                                "--params1", "1,1,1/2147483647",
                                "--params2", "1,1,1/2147483647"],
+    # powers of monomials and of sums, after a large e2 power
+    "nf_m30_e2_power_sum_power": ["nf", "--m", "30", "e2^29*(q^3*zt + z1)^4*e1^15"],
+    "nf_m7_monomial_powers": ["nf", "--m", "7", "(q^2*e1*e3)^5 + (2*e2)^3 - (3/4*z*e3^2*e1)^4"
+                              " + (q^3)^4*(1/(q+2))^3"],
+    "central_m20_central_powers": ["central", "--m", "20", "e2^10*(z + q^3*z1)^3*e1^20"],
+    "central_m12_witness": ["central", "--m", "12", "e2^5*(zt + e3)^2"],
 }
 
 

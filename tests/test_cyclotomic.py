@@ -230,3 +230,25 @@ def test_is_prime_small_and_strong_pseudoprimes():
     # strong pseudoprimes to base 2 (2047), and to bases 2 and 3 (1373653)
     assert not cyclotomic._is_prime(2047) and not cyclotomic._is_prime(1373653)
     assert cyclotomic._is_prime(2 ** 31 - 1)
+
+
+@pytest.mark.parametrize("m", [5, 8, 12])
+def test_unit_powers_match_square_and_multiply(m):
+    # (q^t)^n is read off the q-power table; square-and-multiply by hand
+    ctx = field_init(m)
+
+    def square_and_multiply(a, n):
+        out = ctx.one
+        while n:
+            if n & 1:
+                out = out * a
+            a, n = a * a, n >> 1
+        return out
+
+    for t in range(m):
+        u = ctx.q_pow(t)
+        for n in range(-m, 2 * m + 1):
+            want = square_and_multiply(u if n >= 0 else u.invert(), abs(n))
+            got = u ** n
+            assert (got.num, got.den) == (want.num, want.den), (t, n)
+            assert got == ctx.q_pow(t * n)

@@ -147,3 +147,17 @@ def test_named_elements_built_once_per_expression(monkeypatch, context_factory):
     # nothing is kept between two evaluations
     assert expr.evaluate("zt", alg) == zt
     assert len(built) == 3
+
+
+@pytest.mark.parametrize("m", [7, 12])
+def test_monomial_times_a_power_is_one_factor_at_a_time(algebra_factory, m):
+    # x*(y)^n with x one monomial is n right products by y: the same normal
+    # form as x times the power, for monomial and non-monomial x and y
+    alg = algebra_factory(m)
+    lefts = ("e2^5", "q^2*e1*e3", "3/4*e2^3", "1/(q+2)", "e2 + e1", "zt")
+    bases = ("zt + z1", "e1 + q*e3", "e2", "z*e1", "q^3")
+    for x in lefts:
+        for y in bases:
+            for n in (1, 2, 3):
+                got = expr.evaluate("(%s)*(%s)^%d" % (x, y, n), alg)
+                assert got == expr.evaluate(x, alg) * expr.evaluate("(%s)^%d" % (y, n), alg), (x, y, n)

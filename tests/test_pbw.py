@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from uqb2 import expr, torus
-from uqb2.pbw import graded_key, leading_monomial
+from uqb2.pbw import PBWAlgebra, graded_key, leading_monomial
 
 
 def test_generators_and_unit(algebra_factory):
@@ -65,6 +65,86 @@ def test_power(algebra_factory):
     assert alg.generator("e2") ** 0 == alg.unit()
     with pytest.raises(ValueError):
         e3 ** -1
+
+
+def _power_by_products(x, n):
+    """x^n as n products through the algebra's ``mul``, starting from 1."""
+    out = x.alg.unit()
+    for _ in range(n):
+        out = x.alg.mul(out, x)
+    return out
+
+
+def _monomial_bases(alg, rng):
+    """Random single-term bases: e2-free monomials, pure e2 powers and
+    scalars, with unit, fractional and non-unit coefficients; and monomials
+    with e2 beside another letter, which take the product loop."""
+    ctx = alg.ctx
+    pool = [ctx.one, ctx.q_pow(3), -ctx.q_pow(3), ctx.from_fraction(Fraction(3, 4)),
+            (ctx.q + 2).invert(), ctx.q_pow(-1) * (ctx.q_pow(2) - 1).invert()]
+    bases = []
+    for c in pool:
+        for _ in range(3):
+            i, j, k = (rng.randrange(3) for _ in range(3))
+            bases.append(alg.element({(i, j, k, 0): c}))
+        bases.append(alg.element({(0, 0, 0, rng.randrange(1, 3)): c}))
+        bases.append(alg.scalar(c))
+        bases.append(alg.element({(rng.randrange(2), 1, rng.randrange(2), 1): c}))
+    return bases
+
+
+@pytest.mark.parametrize("m", [5, 6, 8, 12])
+def test_closed_form_powers_match_the_product_loop(algebra_factory, m):
+    alg = algebra_factory(m)
+    rng = random.Random(1900 + m)
+    for x in _monomial_bases(alg, rng):
+        for n in range(2 * alg.ctx.l + 2):
+            assert x ** n == _power_by_products(x, n), (x, n)
+
+
+def test_sum_powers_match_the_product_loop(algebra_factory):
+    alg = algebra_factory(7)
+    rng = random.Random(19)
+    for _ in range(5):
+        x = _fractional_element(alg, rng)
+        for n in range(5):
+            assert x ** n == _power_by_products(x, n), (x, n)
+    assert alg.zero() ** 0 == alg.unit()
+    assert alg.zero() ** 3 == alg.zero()
+
+
+@pytest.mark.parametrize("m", [5, 8])
+def test_laurent_powers_match_the_product_loop(context_factory, m):
+    T = torus.quantum_torus(context_factory(m))
+    ctx = T.ctx
+    rng = random.Random(1950 + m)
+    for _ in range(5):
+        x = T.element({tuple(rng.randrange(-2, 3) for _ in range(4)):
+                       ctx.q_pow(rng.randrange(m)) * rng.randrange(1, 4) for _ in range(2)})
+        for n in range(5):
+            assert x ** n == _power_by_products(x, n), (x, n)
+
+
+def test_each_operand_is_split_once(monkeypatch, algebra_factory):
+    # the split of an element is made on its first product and kept on it
+    alg = algebra_factory(7)
+    split = []
+    real = PBWAlgebra._integral
+
+    def counted(self, x):
+        if not hasattr(x, "_split"):
+            split.append(x)
+        return real(self, x)
+
+    monkeypatch.setattr(PBWAlgebra, "_integral", counted)
+    e1, e2, e3, z = alg.generators()
+    y = e1 + Fraction(3, 4) * e2 + alg.ctx.q * z
+    y ** 5
+    assert sum(s is y for s in split) == 1
+    x = e3 * e2 + z / 3
+    assert alg.commutator_witness(x) is not None
+    assert sum(s is x for s in split) == 1
+    assert alg._integral(x) is alg._integral(x)
 
 
 @pytest.mark.parametrize("m", [5, 6, 7, 8])

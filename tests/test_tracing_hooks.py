@@ -11,8 +11,9 @@ import would bypass the wrapper.
 import importlib.util
 import pathlib
 
-from uqb2 import linalg, repmod
+from uqb2 import expr, linalg, repmod
 from uqb2.cyclotomic import field_init
+from uqb2.pbw import PBWAlgebra
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -34,3 +35,24 @@ def test_a_wrapper_on_linalg_sees_the_relation_evaluator(monkeypatch):
     rep = repmod.build(ctx, repmod.module_params(ctx, "V1p", 1, 1, 1, 0))
     assert repmod.verify_relations(rep)["all_zero"]
     assert calls
+
+
+def test_a_wrapper_on_pbw_mul_sees_powers_and_commutators(monkeypatch):
+    calls = []
+    real = PBWAlgebra.mul
+    monkeypatch.setattr(PBWAlgebra, "mul", lambda *args: calls.append(1) or real(*args))
+    alg = PBWAlgebra(field_init(7))
+    e1, e2, e3, z = alg.generators()
+    # a power of a sum is n - 1 products; a monomial's power is written directly
+    (e1 + z) ** 4
+    assert len(calls) == 3
+    (e1 * e3) ** 4
+    assert len(calls) == 4
+    # a monomial times the 4th power of a sum: 1 + 4 products, each traced
+    del calls[:]
+    expr.evaluate("e2^3*e1*(e1 + z)^4", alg)
+    assert len(calls) == 5
+    # a central element: two commutators of two products each
+    del calls[:]
+    assert alg.commutator_witness(z) is None
+    assert len(calls) == 4

@@ -21,10 +21,10 @@ table; closed-form commutation identities are *never* used inside the
 engine, they exist only as independent cross-checks
 (``power_commutation_identity``).  The engine runs in integer arithmetic: the
 memo tables hold integer vectors in Z[q], each operand of a product is put
-over one denominator (once per element), and one canonical ``CycNum`` is
-made per output term.  A power of one monomial with no e2, or of e2^e alone,
-is written directly from the e1-e3 swap that ``mul`` applies to a left
-operand with no e2; the power-commutation identities stay cross-checks only.
+over one denominator, and one canonical ``CycNum`` is made per output term.
+A power of one monomial with no e2, or of e2^e alone, is written directly
+from the e1-e3 swap that ``mul`` applies to a left operand with no e2; the
+power-commutation identities stay cross-checks only.
 
 The defining relations are also written once as data, in ``FULL_RELATIONS``
 and ``SUBALGEBRA_RELATIONS``, and ``evaluate_relations`` evaluates them on
@@ -310,18 +310,11 @@ class PBWAlgebra:
 
     def _integral(self, x):
         """(terms, D): x over D, the lcm of its denominators, with a term
-        (monomial, vec, k, s) for each coefficient s * q^k * vec / D; made
-        once per element and kept on it, since elements are immutable."""
-        try:
-            return x._split
-        except AttributeError:
-            pass
+        (monomial, vec, k, s) for each coefficient s * q^k * vec / D."""
         units, one = self.ctx._unit_exp, self.ctx.one.num
         D = math.lcm(*[c.den for c in x.terms.values()])
-        x._split = split = tuple(
-            (key, c.num, 0, D // c.den) if (k := units.get(c.num)) is None
-            else (key, one, k, D // c.den) for key, c in x.terms.items()), D
-        return split
+        return [(key, c.num, 0, D // c.den) if (k := units.get(c.num)) is None
+                else (key, one, k, D // c.den) for key, c in x.terms.items()], D
 
     def mul(self, x, y):
         """The product in integer arithmetic: each operand over one
@@ -511,13 +504,17 @@ class SparseElement:
         return self * self.alg.ctx.scalar(other).invert()
 
     def __pow__(self, n):
-        # a linear loop from 1; ``PBWElement`` has its own rules for n >= 1
+        # a linear loop, n - 1 products from x: square-and-multiply was
+        # measured slower here, since squaring multiplies two large sums
+        # where this multiplies by x
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             raise ValueError("exponent must be nonnegative")
-        out = self.alg.unit()
-        for _ in range(n):
+        if n == 0:
+            return self.alg.unit()
+        out = self
+        for _ in range(n - 1):
             out = self.alg.mul(out, self)
         return out
 
@@ -549,31 +546,22 @@ class SparseElement:
 class PBWElement(SparseElement):
     """A finite sum of basis monomials z^i e3^j e1^k e2^n; immutable."""
 
-    # ``PBWAlgebra._integral``'s split of the terms, made on first use
-    __slots__ = ("_split",)
+    __slots__ = ()
 
     def __pow__(self, n):
-        # Two rules.  A monomial c z^i e3^j e1^k with no e2, or c e2^e alone,
-        # has its power written directly: x^n = x^(n-1) x moves e1^(k(n-1))
-        # past e3^j, the swap ``mul`` applies when its left operand has no
-        # e2, so (c z^i e3^j e1^k)^n = c^n q^(-jk n(n-1)) z^(in) e3^(jn) e1^(kn).
-        # Any other base is multiplied in one factor at a time, n - 1
-        # products: square-and-multiply was measured slower, since squaring
-        # multiplies two large sums where this multiplies by x.
-        if not isinstance(n, int) or n < 1:
-            return super().__pow__(n)
-        if len(self.terms) == 1:
+        # A monomial c z^i e3^j e1^k with no e2, or c e2^e alone, has its
+        # power written directly: x^n = x^(n-1) x moves e1^(k(n-1)) past
+        # e3^j, the swap ``mul`` applies when its left operand has no e2, so
+        # (c z^i e3^j e1^k)^n = c^n q^(-jk n(n-1)) z^(in) e3^(jn) e1^(kn).
+        # Any other base takes the shared loop.
+        if isinstance(n, int) and n >= 1 and len(self.terms) == 1:
             ((i, j, k, e), c), = self.terms.items()
             if not e or not (i or j or k):
                 c = c ** n
-                twist = -j * k * n * (n - 1)
-                if twist % self.alg.ctx.m:
-                    c = c * self.alg.ctx.q_pow(twist)
+                if j and k:
+                    c = c * self.alg.ctx.q_pow(-j * k * n * (n - 1))
                 return PBWElement(self.alg, {(i * n, j * n, k * n, e * n): c})
-        out = self
-        for _ in range(n - 1):
-            out = self.alg.mul(out, self)
-        return out
+        return super().__pow__(n)
 
     def as_scalar(self):
         """The field scalar this element equals, if it is one."""

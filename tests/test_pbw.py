@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from uqb2 import expr, torus
-from uqb2.pbw import PBWAlgebra, graded_key, leading_monomial
+from uqb2.pbw import graded_key, leading_monomial
 
 
 def test_generators_and_unit(algebra_factory):
@@ -123,28 +123,6 @@ def test_laurent_powers_match_the_product_loop(context_factory, m):
                        ctx.q_pow(rng.randrange(m)) * rng.randrange(1, 4) for _ in range(2)})
         for n in range(5):
             assert x ** n == _power_by_products(x, n), (x, n)
-
-
-def test_each_operand_is_split_once(monkeypatch, algebra_factory):
-    # the split of an element is made on its first product and kept on it
-    alg = algebra_factory(7)
-    split = []
-    real = PBWAlgebra._integral
-
-    def counted(self, x):
-        if not hasattr(x, "_split"):
-            split.append(x)
-        return real(self, x)
-
-    monkeypatch.setattr(PBWAlgebra, "_integral", counted)
-    e1, e2, e3, z = alg.generators()
-    y = e1 + Fraction(3, 4) * e2 + alg.ctx.q * z
-    y ** 5
-    assert sum(s is y for s in split) == 1
-    x = e3 * e2 + z / 3
-    assert alg.commutator_witness(x) is not None
-    assert sum(s is x for s in split) == 1
-    assert alg._integral(x) is alg._integral(x)
 
 
 @pytest.mark.parametrize("m", [5, 6, 7, 8])

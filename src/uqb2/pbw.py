@@ -16,15 +16,16 @@ share; only the product differs between the two.
 Products are normal-formed by repeated single-step swaps of out-of-order
 adjacent generator pairs, using exactly the relations above.  The two
 nontrivial power-against-power expansions, e2^n * e3^j and e2^n * e1^k, are
-cases of one recursion for e2^n * e3^j * e1^k, memoized per algebra in one
-table; closed-form commutation identities are *never* used inside the
-engine, they exist only as independent cross-checks
+entries of one memo table per algebra, (n, j, k) -> e2^n * e3^j * e1^k,
+seeded with e2 and filled bottom-up without recursion: a missing entry is
+reached from the highest filled one below it by one e3 swap, one e1 swap or
+one left product by e2 per step.  A power of one monomial with no e2, or of
+e2^e alone, is written directly from the e1-e3 swap that ``mul`` applies to
+a left operand with no e2.  Closed-form commutation identities are *never*
+used inside the engine, they exist only as independent cross-checks
 (``power_commutation_identity``).  The engine runs in integer arithmetic: the
-memo tables hold integer vectors in Z[q], each operand of a product is put
+memo table holds integer vectors in Z[q], each operand of a product is put
 over one denominator, and one canonical ``CycNum`` is made per output term.
-A power of one monomial with no e2, or of e2^e alone, is written directly
-from the e1-e3 swap that ``mul`` applies to a left operand with no e2; the
-power-commutation identities stay cross-checks only.
 
 The defining relations are also written once as data, in ``FULL_RELATIONS``
 and ``SUBALGEBRA_RELATIONS``, and ``evaluate_relations`` evaluates them on
@@ -192,12 +193,9 @@ class PBWAlgebra:
         self.ctx = ctx
         # elements combine only within one field
         self.key = ctx.m
-        # e2 * e3^j and e2 * e1^k, grown on demand by one swap at a time, and
-        # e2^n * e3^j * e1^k keyed by (n, j, k); entries as in ``_entries``
-        e2 = (((0, 0, 0, 1), ctx.one.num, 0),)
-        self._b1 = [e2]
-        self._a1 = [e2]
-        self._e2cache = {}
+        # the one memo table: (n, j, k) -> entries of e2^n * e3^j * e1^k,
+        # seeded with e2 itself and filled bottom-up by ``_e2n``
+        self._table = {(1, 0, 0): (((0, 0, 0, 1), ctx.one.num, 0),)}
 
     # -- element constructors -------------------------------------------------
 
@@ -231,80 +229,80 @@ class PBWAlgebra:
 
     # -- memoized power-against-power products --------------------------------
     #
-    # Every coefficient here lies in Z[q], so the tables hold integer vectors
+    # Every coefficient here lies in Z[q], so the table holds integer vectors
     # on the power basis.  An entry is (monomial, vec, k) for the coefficient
     # q^k * vec; a unit q^k is held as (the row of 1, k), so that a product
     # of units is a sum of exponents and the q^k shift (the unit fast path of
     # ``cyclotomic._substitute``) is taken once, when a term is written.
 
-    def _entries(self, sums):
-        """Entries of a {monomial: integer vector} map, zeros dropped."""
+    def _summed(self, terms):
+        """Entries of the sum of ``terms``, read as ``_add_terms`` reads them."""
+        sums = {}
+        _add_terms(self.ctx, sums, terms)
         units, one = self.ctx._unit_exp, self.ctx.one.num
         return tuple((key, one, units[vec]) if vec in units else (key, vec, 0)
                      for key, vec in sums.items() if any(vec))
 
-    def _b1_at(self, j):
-        # e2 * e3^j = q^2 e3 (e2 e3^(j-1)) + z e3^(j-1), one swap per step
-        tab, ctx = self._b1, self.ctx
-        while len(tab) <= j:
-            sums = {}
-            _add_terms(ctx, sums, [((i, b + 1, 0, c), vec, k + 2)
-                                   for (i, b, _, c), vec, k in tab[-1]])
-            _add_terms(ctx, sums, [((1, len(tab) - 1, 0, 0), ctx.one.num, 0)])
-            tab.append(self._entries(sums))
-        return tab[j]
-
-    def _a1_at(self, k):
-        # e2 * e1^k = q^-2 e1 (e2 e1^(k-1)) - q^-2 e3 e1^(k-1); the fresh e1
-        # moves leftward past e3^b, so q^-2 * q^(-2b) is one shift
-        tab, ctx = self._a1, self.ctx
-        while len(tab) <= k:
-            sums = {}
-            _add_terms(ctx, sums, [((i, b, c + 1, d), vec, e - 2 - 2 * b)
-                                   for (i, b, c, d), vec, e in tab[-1]])
-            minus_one = tuple(-v for v in ctx.one.num)
-            _add_terms(ctx, sums, [((0, 1, len(tab) - 1, 0), minus_one, -2)])
-            tab.append(self._entries(sums))
-        return tab[k]
-
     def _e2n(self, n, j, k):
         """Entries of e2^n * e3^j * e1^k."""
+        tab = self._table
+        out = tab.get((n, j, k))
+        if out is not None:
+            return out
         one = self.ctx.one.num
         if n == 0:
             return (((0, j, k, 0), one, 0),)
         if j == k == 0:
             return (((0, 0, 0, n), one, 0),)
-        if n == 1 and not k:
-            return self._b1_at(j)
-        if n == 1 and not j:
-            return self._a1_at(k)
-        cached = self._e2cache.get((n, j, k))
-        if cached is not None:
-            return cached
-        ctx = self.ctx
-        terms = []
         if j and k:
             # e2^n e3^j is a sum of z^a e3^b e2^c, and z^a e3^b times the
             # normal form of e2^c e1^k is in normal form
-            for (a, b, _, c), vec, e in self._e2n(n, j, 0):
-                for (p, qq, r, u), vec1, e1 in self._e2n(c, 0, k):
-                    terms.append(((a + p, b + qq, r, u), _times(ctx, vec, vec1), e + e1))
-        else:
-            for (i, b, c, d), vec, e in self._e2n(n - 1, j, k):
-                # left-multiply the monomial by e2: first push e2 past e3^b,
-                # then push any produced e2 past e1^c
-                for (i1, b1, _, c1), vec1, e1 in self._b1_at(b):
-                    lead = _times(ctx, vec, vec1)
-                    if c1 and c:
-                        for (p, qq, r, u), vec2, e2 in self._a1_at(c):
-                            terms.append(((i + i1 + p, b1 + qq, r, u + d),
-                                          _times(ctx, lead, vec2), e + e1 + e2))
-                    else:
-                        terms.append(((i + i1, b1, c, d + c1), lead, e + e1))
-        sums = {}
-        _add_terms(ctx, sums, terms)
-        out = self._e2cache[(n, j, k)] = self._entries(sums)
+            ctx = self.ctx
+            out = tab[n, j, k] = self._summed([
+                ((a + p, b + qq, r, u), _times(ctx, vec, vec1), e + e1)
+                for (a, b, _, c), vec, e in self._e2n(n, j, 0)
+                for (p, qq, r, u), vec1, e1 in self._e2n(c, 0, k)])
+            return out
+        # walk down (n, j, 0) -> (n-1, j, 0) -> ... -> (1, j, 0) -> (1, j-1, 0)
+        # (and likewise for e1) to the highest filled entry, then fill upward
+        path, key = [], (n, j, k)
+        while key not in tab:
+            path.append(key)
+            n, j, k = key
+            key = (n - 1, j, k) if n > 1 else (1, j - 1, 0) if j else (1, 0, k - 1)
+        out = tab[key]
+        for key in reversed(path):
+            out = tab[key] = self._step(*key, out)
         return out
+
+    def _step(self, n, j, k, prev):
+        """Entries of e2^n * e3^j * e1^k from ``prev``, the entries of the
+        one below it on the walk of ``_e2n``."""
+        ctx, one = self.ctx, self.ctx.one.num
+        if n == 1 and not k:
+            # e2 * e3^j = q^2 e3 (e2 e3^(j-1)) + z e3^(j-1)
+            return self._summed([((i, b + 1, 0, c), vec, e + 2) for (i, b, _, c), vec, e in prev]
+                                + [((1, j - 1, 0, 0), one, 0)])
+        if n == 1:
+            # e2 * e1^k = q^-2 e1 (e2 e1^(k-1)) - q^-2 e3 e1^(k-1); the fresh
+            # e1 moves leftward past e3^b, so q^-2 * q^(-2b) is one shift
+            minus_one = tuple(-v for v in one)
+            return self._summed([((i, b, c + 1, d), vec, e - 2 - 2 * b)
+                                 for (i, b, c, d), vec, e in prev]
+                                + [((0, 1, k - 1, 0), minus_one, -2)])
+        terms = []
+        for (i, b, c, d), vec, e in prev:
+            # left-multiply the monomial by e2: first push e2 past e3^b,
+            # then push any produced e2 past e1^c
+            for (i1, b1, _, c1), vec1, e1 in self._e2n(1, b, 0):
+                lead = _times(ctx, vec, vec1)
+                if c1 and c:
+                    for (p, qq, r, u), vec2, e2 in self._e2n(1, 0, c):
+                        terms.append(((i + i1 + p, b1 + qq, r, u + d),
+                                      _times(ctx, lead, vec2), e + e1 + e2))
+                else:
+                    terms.append(((i + i1, b1, c, d + c1), lead, e + e1))
+        return self._summed(terms)
 
     # -- products --------------------------------------------------------------
 

@@ -119,6 +119,10 @@ CORPUS = {
                               " + (q^3)^4*(1/(q+2))^3"],
     "central_m20_central_powers": ["central", "--m", "20", "e2^10*(z + q^3*z1)^3*e1^20"],
     "central_m12_witness": ["central", "--m", "12", "e2^5*(zt + e3)^2"],
+    # deep fills of the e2^n e3^j e1^k table, all with n below 988
+    "nf_m9_deep_e2_power": ["nf", "--m", "9", "e2^899*e3^2*e1^3"],
+    "nf_m16_scaled_e2_power_sum": ["nf", "--m", "16", "(q*e2)^601*(e3 + z1)^2"],
+    "central_m13_deep_witness": ["central", "--m", "13", "e2^910*zt*e1^2"],
 }
 
 

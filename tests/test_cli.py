@@ -273,6 +273,14 @@ def test_exponent_above_the_cap_is_a_parse_error(capsys):
     assert code == 0 and out["terms"][0]["k"] == expr.MAX_EXPONENT
 
 
+def test_deep_e2_powers_are_answered(capsys):
+    # each fills the e2^n e3^j e1^k table more than 900 entries deep
+    code, out, _ = run_cli(capsys, "nf", "--m", "5", "e2^%d*e3*e1" % expr.MAX_EXPONENT)
+    assert code == 0 and out["terms"]
+    code, out, _ = run_cli(capsys, "central", "--m", "997", "e2^997")
+    assert code == 0 and out["central"] is True
+
+
 _GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 _JSON_EDGE_CASES = [

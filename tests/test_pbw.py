@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from uqb2 import expr, torus
-from uqb2.pbw import graded_key, leading_monomial
+from uqb2.pbw import PBWAlgebra, graded_key, leading_monomial
 
 
 def test_generators_and_unit(algebra_factory):
@@ -132,6 +132,31 @@ def test_lemma_identities_all_indices(algebra_factory, m):
     for index in (1, 2, 3, 4):
         for k in range(2 if index == 4 else 1, top + 1):
             assert alg.power_commutation_identity(index, k).is_zero(), (index, k)
+
+
+@pytest.mark.parametrize("m,k", [(5, expr.MAX_EXPONENT), (8, expr.MAX_EXPONENT), (5, 5000)])
+def test_deep_e2_powers_against_e3_and_e1(context_factory, m, k):
+    # e2^k e3 and e2^k e1 fill the table k entries deep from a fresh algebra,
+    # far past the interpreter's default recursion limit
+    alg = PBWAlgebra(context_factory(m))
+    for index in (2, 4):
+        assert alg.power_commutation_identity(index, k).is_zero(), (index, k)
+
+
+@pytest.mark.parametrize("m", [7, 12])
+def test_table_does_not_depend_on_fill_order(context_factory, m):
+    a, b = PBWAlgebra(context_factory(m)), PBWAlgebra(context_factory(m))
+    keys = [(6, 3, 0), (2, 0, 4), (5, 2, 3)]
+    for key in keys:
+        a._e2n(*key)
+    for key in reversed(keys):
+        b._e2n(*key)
+    assert a._table == b._table
+    rng = random.Random(2000 + m)
+    for _ in range(30):
+        x, y = ({tuple(rng.randrange(4) for _ in range(4)): rng.randrange(1, 4)}
+                for _ in range(2))
+        assert a.element(x) * a.element(y) == b.element(x) * b.element(y), (x, y)
 
 
 def test_lemma_identity_argument_checks(algebra_factory):

@@ -34,10 +34,6 @@ def term_json(key, coeff):
     return {"i": i, "j": j, "k": k, "n": n, "coeff": scalar_json(coeff)}
 
 
-def element_json(x):
-    return [term_json(key, x.terms[key]) for key in sorted(x.terms)]
-
-
 def matrix_json(M, zero):
     """A square matrix as d rows of d scalars, ``zero`` where a row holds no entry."""
     return [[scalar_json(row.get(j, zero)) for j in range(len(M))] for row in M]
@@ -72,6 +68,23 @@ def _emit(payload):
     sys.stdout.write(_dumps(payload) + "\n")
 
 
+# one term of an ``nf`` answer, as ``_dumps(term_json(key, coeff), "\n    ")``
+# writes it; the coordinate strings need no escaping
+_TERM = ('{\n      "i": %d,\n      "j": %d,\n      "k": %d,\n      "n": %d,\n'
+         '      "coeff": [\n        "%s"\n      ]\n    }')
+
+
+def nf_json(m, text, x):
+    """``_dumps({"m": m, "expr": text, "terms": [term_json(...) per term]})``,
+    the same bytes, with each term written by one format and its coordinates
+    joined once."""
+    terms = x.terms
+    body = ",\n    ".join([_TERM % (*key, '",\n        "'.join(scalar_json(terms[key])))
+                           for key in sorted(terms)])
+    return '{\n  "m": %d,\n  "expr": %s,\n  "terms": %s\n}' % (
+        m, _encode(text), "[\n    " + body + "\n  ]" if body else "[]")
+
+
 def _parse_matrix(spec):
     if spec in lattice.NAMED_MATRICES:
         return lattice.NAMED_MATRICES[spec], spec
@@ -97,7 +110,7 @@ def _parse_params(ctx, family, text):
 def cmd_nf(args):
     ctx = field_init(args.m)
     x = expr.evaluate(args.expr, PBWAlgebra(ctx))
-    _emit({"m": args.m, "expr": args.expr, "terms": element_json(x)})
+    sys.stdout.write(nf_json(args.m, args.expr, x) + "\n")
     return 0
 
 

@@ -29,26 +29,8 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
-
-
-def _poly_divexact(num, den):
-    """Exact division of integer polynomials (ascending coefficients)."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        if c % lead:
-            raise ArithmeticError("division is not exact")
-        q = c // lead
-        out[i] = q
-        if q:
-            for j, d in enumerate(den):
-                num[i + j] -= q * d
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("division left a remainder")
-    return out
 
 
 def _poly_mul_int(a, b):
@@ -64,20 +46,28 @@ def _poly_mul_int(a, b):
 def cyclotomic_polynomial(m):
     """Integer coefficients (ascending) of the m-th cyclotomic polynomial.
 
-    Computed by exact division: Phi_m = (x^m - 1) / prod(Phi_d, d | m, d < m).
+    Computed as the Moebius product Phi_m = prod((x^d - 1)^mu(m/d), d | m):
+    the factors with mu = +1 are multiplied in first, then those with
+    mu = -1 divided out, each step one linear pass and each division exact.
     """
-    polys = {}
-    for d in range(1, m + 1):
-        if m % d:
-            continue
-        num = [0] * (d + 1)
-        num[0], num[d] = -1, 1
-        den = [1]
-        for e in range(1, d):
-            if d % e == 0:
-                den = _poly_mul_int(den, polys[e])
-        polys[d] = _poly_divexact(num, den)
-    return polys[m]
+    # mu(s) != 0 exactly for the squarefree s | m, products of its primes
+    signed = [(1, 1)]
+    for p in range(2, m + 1):
+        if m % p == 0 and _is_prime(p):
+            signed += [(s * p, -mu) for s, mu in signed]
+    poly = [1]
+    for s, mu in signed:
+        if mu == 1:  # times x^d - 1
+            d = m // s
+            poly = list(map(operator.sub, [0] * d + poly, poly + [0] * d))
+    for s, mu in signed:
+        if mu == -1:  # poly = out * (x^d - 1) gives out[i] = out[i - d] - poly[i]
+            d = m // s
+            out = [0] * d
+            for c in poly[:-d]:
+                out.append(out[-d] - c)
+            poly = out[d:]
+    return poly
 
 
 # Largest accepted order of q.  A FieldContext holds m q-power vectors of

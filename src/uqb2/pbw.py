@@ -339,7 +339,7 @@ class PBWAlgebra:
                 _add_terms(ctx, by_scale.setdefault(s1 * s2, {}), terms)
         total = by_scale.pop(1, {})
         for s, sums in by_scale.items():
-            _add_terms(ctx, total, [(key, tuple(s * v for v in vec), 0)
+            _add_terms(ctx, total, [(key, tuple([s * v for v in vec]), 0)
                                     for key, vec in sums.items()])
         den = dx * dy
         return PBWElement(self, {key: _make(ctx, vec, den)

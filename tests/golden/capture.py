@@ -123,6 +123,8 @@ CORPUS = {
     "nf_m9_deep_e2_power": ["nf", "--m", "9", "e2^899*e3^2*e1^3"],
     "nf_m16_scaled_e2_power_sum": ["nf", "--m", "16", "(q*e2)^601*(e3 + z1)^2"],
     "central_m13_deep_witness": ["central", "--m", "13", "e2^910*zt*e1^2"],
+    # an answer of zero: the empty term list
+    "nf_m5_zero": ["nf", "--m", "5", "e1*e3 - q^-2*e3*e1"],
 }
 
 

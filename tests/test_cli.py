@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from uqb2 import cli, cyclotomic, expr, lattice
+from uqb2.pbw import PBWAlgebra
 
 
 def run_cli(capsys, *argv):
@@ -303,6 +304,33 @@ def test_writer_matches_json_dumps_on_every_golden(path):
 def test_writer_matches_json_dumps_on_edge_cases(value):
     assert cli._dumps(value) == json.dumps(value, indent=2)
     assert cli._dumps({"k": [value]}) == json.dumps({"k": [value]}, indent=2)
+
+
+def _random_scalar(rng, ctx):
+    """Coordinates zero, small, negative or about 2^70 in size, over 1, a small
+    denominator or one above 2^64."""
+    nums = [rng.choice((0, rng.randrange(-60, 60), rng.randrange(-2 ** 70, 2 ** 70)))
+            for _ in range(ctx.degree)]
+    nums[rng.randrange(ctx.degree)] = rng.randrange(1, 2 ** 70)
+    return cyclotomic._make(ctx, nums, rng.choice((1, rng.randrange(1, 50), 2 ** 65 + 1)))
+
+
+@pytest.mark.parametrize("m", (5, 8, 12, 30, 997))
+def test_nf_writer_matches_json_dumps_of_the_term_dicts(m):
+    ctx = cyclotomic.field_init(m)
+    alg = PBWAlgebra(ctx)
+    rng = random.Random(m)
+    elements = [alg.zero(), alg.element({(0, 0, 0, 0): _random_scalar(rng, ctx)}),
+                alg.element({(0, 0, 0, 0): Fraction(-7, 3)}), alg.element({(0, 0, 0, 0): -2 ** 70})]
+    for _ in range(3 if m == 997 else 20):
+        elements.append(alg.element({
+            tuple(rng.randrange(0, 3 * m) for _ in range(4)): _random_scalar(rng, ctx)
+            for _ in range(rng.randrange(1, 12))}))
+    for x in elements:
+        for text in ("e1*e3 - q^-2*e3*e1", 'quote " and é'):
+            payload = {"m": m, "expr": text,
+                       "terms": [cli.term_json(key, x.terms[key]) for key in sorted(x.terms)]}
+            assert cli.nf_json(m, text, x) == json.dumps(payload, indent=2)
 
 
 @pytest.mark.parametrize("m", (5, 7, 12, 13))

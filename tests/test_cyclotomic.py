@@ -31,6 +31,25 @@ def test_known_cyclotomic_polynomials():
     assert cyclotomic_polynomial(9) == [1, 0, 0, 1, 0, 0, 1]
 
 
+def _totient(m):
+    return sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
+
+
+def test_cyclotomic_polynomials_are_monic_of_degree_phi():
+    for m in range(1, cyclotomic.MAX_ORDER + 1):
+        poly = cyclotomic_polynomial(m)
+        assert len(poly) == _totient(m) + 1 and poly[-1] == 1, m
+
+
+@pytest.mark.parametrize("m", list(range(1, 121)) + [997, 998, 999, 1000])
+def test_cyclotomic_polynomials_multiply_to_x_m_minus_1(m):
+    product = [1]
+    for d in range(1, m + 1):
+        if m % d == 0:
+            product = cyclotomic._poly_mul_int(product, cyclotomic_polynomial(d))
+    assert product == [-1] + [0] * (m - 1) + [1]
+
+
 def test_q_power_arithmetic():
     ctx = field_init(5)
     assert ctx.q_pow(5) == ctx.one

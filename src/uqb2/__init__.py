@@ -9,7 +9,7 @@ expression parser with a JSON command-line front-end.
 """
 
 from .cyclotomic import CycNum, FieldContext, field_init
-from .pbw import PBWAlgebra, PBWElement, leading_monomial
+from .pbw import PBWAlgebra, PBWElement
 from .repmod import ModuleParams, Representation, build, module_params
 from .lattice import SNFDecomposition, smith_normal_form, pi_degree
 from .isoclass import IsoVerdict, find_intertwiner, iso_predicate
@@ -22,7 +22,6 @@ __all__ = [
     "field_init",
     "PBWAlgebra",
     "PBWElement",
-    "leading_monomial",
     "ModuleParams",
     "Representation",
     "build",

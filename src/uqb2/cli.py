@@ -42,42 +42,20 @@ def matrix_json(M, zero):
 _encode = json.encoder.encode_basestring_ascii
 
 
-def _dumps(x, pad="\n"):
-    """``json.dumps(x, indent=2)``, the same bytes, with ``pad`` the newline
-    and indent of the line ``x`` starts on.  Strings, ints, lists, tuples and
-    dicts with string keys are written here, a list of strings in one join;
-    anything else (bools, None, floats, other keys) by ``json.dumps``."""
-    kind = type(x)
-    if kind is str:
-        return _encode(x)
-    if kind is int:
-        return int.__repr__(x)
-    inner = pad + "  "
-    sep = "," + inner
-    if (kind is list or kind is tuple) and x:
-        if all(type(v) is str for v in x):
-            return "[" + inner + sep.join(map(_encode, x)) + pad + "]"
-        return "[" + inner + sep.join([_dumps(v, inner) for v in x]) + pad + "]"
-    if kind is dict and x and all(type(k) is str for k in x):
-        return "{" + inner + sep.join([_encode(k) + ": " + _dumps(v, inner)
-                                       for k, v in x.items()]) + pad + "}"
-    return json.dumps(x, indent=2).replace("\n", pad)
-
-
 def _emit(payload):
-    sys.stdout.write(_dumps(payload) + "\n")
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
-# one term of an ``nf`` answer, as ``_dumps(term_json(key, coeff), "\n    ")``
-# writes it; the coordinate strings need no escaping
+# one term of an ``nf`` answer, as ``json.dumps`` writes ``term_json(key, coeff)``
+# at that depth; the coordinate strings need no escaping
 _TERM = ('{\n      "i": %d,\n      "j": %d,\n      "k": %d,\n      "n": %d,\n'
          '      "coeff": [\n        "%s"\n      ]\n    }')
 
 
 def nf_json(m, text, x):
-    """``_dumps({"m": m, "expr": text, "terms": [term_json(...) per term]})``,
-    the same bytes, with each term written by one format and its coordinates
-    joined once."""
+    """``json.dumps({"m": m, "expr": text, "terms": [term_json(...) per term]},
+    indent=2)``, the same bytes, with each term written by one format and its
+    coordinates joined once."""
     terms = x.terms
     body = ",\n    ".join([_TERM % (*key, '",\n        "'.join(scalar_json(terms[key])))
                            for key in sorted(terms)])

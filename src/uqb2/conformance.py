@@ -27,29 +27,20 @@ def _sample_params(ctx, family):
     return [repmod.module_params(ctx, family, *vals) for vals in pool]
 
 
-def run_conformance(m):
-    ctx = field_init(m)
-    alg = PBWAlgebra(ctx)
+def _checks(ctx, alg, info):
+    """Each contracted check in ledger order, as (name, pass) or (name, pass,
+    detail); measured outcomes are appended to ``info`` on the way."""
     l = ctx.l
-    checks = []
-    info = []
-
-    def check(name, ok, detail=None):
-        entry = {"name": name, "pass": bool(ok)}
-        if detail:
-            entry["detail"] = detail
-        checks.append(entry)
-
     # normal-form engine
     serre = alg.serre_residuals()
-    check("serre_relations_normal_form_to_zero", all(r.is_zero() for r in serre.values()))
+    yield ("serre_relations_normal_form_to_zero", all(r.is_zero() for r in serre.values()))
 
     ok = True
     for index in (1, 2, 3, 4):
         for k in range(2 if index == 4 else 1, 2 * l + 1):
             if not alg.power_commutation_identity(index, k).is_zero():
                 ok = False
-    check("power_commutation_identities", ok)
+    yield ("power_commutation_identities", ok)
 
     e1, e2, e3, z = alg.generators()
     rep = structure.center_report(alg)
@@ -58,8 +49,8 @@ def run_conformance(m):
         and not alg.is_central(e1 ** (l - 1))
         and not alg.is_central(e2 ** (l - 1))
     )
-    check("central_elements_with_negative_controls", central_ok)
-    check("subalgebra_central_elements", all(rep["subalgebra_central"].values()))
+    yield ("central_elements_with_negative_controls", central_ok)
+    yield ("subalgebra_central_elements", all(rep["subalgebra_central"].values()))
     info.append({
         "name": "bracket_expression_commutators",
         "central": rep["central"]["zp"],
@@ -67,7 +58,7 @@ def run_conformance(m):
     })
 
     zt_ok = all(not r1 and not r2 for r1, r2 in structure.zt_power_identity(alg, 2 * l))
-    check("zt_power_identities", zt_ok)
+    yield ("zt_power_identities", zt_ok)
 
     q2 = ctx.q_pow(2)
     gwa_ok = (
@@ -81,33 +72,33 @@ def run_conformance(m):
         )
         and not structure.gwa_condition(alg, q2, z, z, {"z": ctx.one})
     )
-    check("normal_element_equations", gwa_ok)
+    yield ("normal_element_equations", gwa_ok)
 
     z1 = structure.named(alg, "z_one")
-    check("z1_two_forms_agree", z1 == structure.z_one_ordered_form(alg))
+    yield ("z1_two_forms_agree", z1 == structure.z_one_ordered_form(alg))
 
     emb = torus.verify_embedding(ctx)
-    check("embedding_relations_vanish", emb["all_relations_hold"])
+    yield ("embedding_relations_vanish", emb["all_relations_hold"])
     info.append({
         "name": "embedded_bracket_vs_X2X4X1",
         "equal": emb["zp_image_matches"],
         "difference_terms": len(emb["zp_difference"].terms),
     })
-    check("affine_center_monomials_commute", all(torus.affine_center_checks(ctx).values()))
+    yield ("affine_center_monomials_commute", all(torus.affine_center_checks(ctx).values()))
 
     snf_ok = True
     for name in ("uqb2", "balg"):
         H = lattice.NAMED_MATRICES[name]
-        snf, degree = lattice.smith_form_and_pi_degree(H, m)
+        snf, degree = lattice.smith_form_and_pi_degree(H, ctx.m)
         if snf.diag != (2, 2, 0, 0) or degree != l:
             snf_ok = False
         if abs(lattice.determinant(snf.U)) != 1 or abs(lattice.determinant(snf.V)) != 1:
             snf_ok = False
-    check("invariant_factors_and_pi_degree", snf_ok)
+    yield ("invariant_factors_and_pi_degree", snf_ok)
 
     expected = sorted([(l, 0, 0, 0), (0, l, 0, 0), (0, 0, l, 0), (0, 0, 0, 1), (1, 1, 1, 0)])
     hb = lattice.nonneg_hilbert_basis(lattice.NAMED_MATRICES["qaspace"], l)
-    check("kernel_semigroup_generators", hb == expected)
+    yield ("kernel_semigroup_generators", hb == expected)
 
     fam_detail = []
     for family in repmod.FAMILIES:
@@ -135,11 +126,7 @@ def run_conformance(m):
                 good = False
             if not good and family not in fam_detail:
                 fam_detail.append(family)
-    check(
-        "module_families_relations_simplicity_characters",
-        not fam_detail,
-        detail=",".join(fam_detail),
-    )
+    yield ("module_families_relations_simplicity_characters", not fam_detail, ",".join(fam_detail))
 
     iso_ok = True
     shifted_not_iso = True
@@ -167,7 +154,7 @@ def run_conformance(m):
                 iso_ok = False
             if verdict.isomorphic or T is not None:
                 shifted_not_iso = False
-    check("classification_predicate_matches_solver", iso_ok)
+    yield ("classification_predicate_matches_solver", iso_ok)
     info.append({
         "name": "q_shifted_parameter_variants",
         "non_isomorphic_confirmed_by_solver": shifted_not_iso,
@@ -179,7 +166,17 @@ def run_conformance(m):
         x = expr.evaluate(src, alg)
         if expr.evaluate(expr.to_src(x), alg) != x:
             parser_ok = False
-    check("parser_round_trip", parser_ok)
+    yield ("parser_round_trip", parser_ok)
 
+
+def run_conformance(m):
+    ctx = field_init(m)
+    checks = []
+    info = []
+    for name, ok, *detail in _checks(ctx, PBWAlgebra(ctx), info):
+        entry = {"name": name, "pass": bool(ok)}
+        if any(detail):
+            entry["detail"] = detail[0]
+        checks.append(entry)
     all_pass = all(c["pass"] for c in checks)
-    return {"m": m, "l": l, "checks": checks, "info": info, "all_pass": all_pass}
+    return {"m": m, "l": ctx.l, "checks": checks, "info": info, "all_pass": all_pass}

@@ -568,20 +568,3 @@ class PBWElement(SparseElement):
         if len(self.terms) == 1 and _UNIT in self.terms:
             return self.terms[_UNIT]
         raise ValueError("element is not a scalar")
-
-
-def graded_key(monomial):
-    """Sort key for the graded order used in leading-term arguments.
-
-    Monomials compare first by total degree; ties are broken lexicographically
-    on the exponent tuple (any graded refinement works for the degree
-    additivity of leading terms).
-    """
-    return (sum(monomial), monomial)
-
-
-def leading_monomial(x):
-    """Largest monomial of x under the graded order, or None for zero."""
-    if not x.terms:
-        return None
-    return max(x.terms, key=graded_key)

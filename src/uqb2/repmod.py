@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .cyclotomic import residue_map
-from .pbw import (FULL_RELATIONS, SUBALGEBRA_RELATIONS, PBWElement, evaluate_letters,
-                  evaluate_relations)
+from .pbw import FULL_RELATIONS, SUBALGEBRA_RELATIONS, evaluate_letters, evaluate_relations
 
 FAMILIES = ("V1", "V2", "V3", "V1p", "V2p", "V3p", "V4p")
 
@@ -184,21 +183,12 @@ def _matrix_ops():
     return linalg.mat_mul, linalg.mat_scale, linalg.mat_add, linalg.mat_sub
 
 
-def relation_residuals(rep):
-    """Matrix residual of every defining relation of the relevant presentation."""
-    relations = FULL_RELATIONS if "e2" in rep.act else SUBALGEBRA_RELATIONS
-    residuals = evaluate_relations(relations, rep.act, rep.ctx, _matrix_ops())
-    return {rel.name: r for rel, r in residuals}
-
-
 def verify_relations(rep):
-    """Report {relation: residual-is-zero} plus the residual matrices."""
-    residuals = relation_residuals(rep)
-    return {
-        "zero": {name: linalg.is_zero_matrix(mat) for name, mat in residuals.items()},
-        "residuals": residuals,
-        "all_zero": all(linalg.is_zero_matrix(mat) for mat in residuals.values()),
-    }
+    """Report {relation: residual-is-zero} over the relevant presentation."""
+    relations = FULL_RELATIONS if "e2" in rep.act else SUBALGEBRA_RELATIONS
+    zero = {rel.name: linalg.is_zero_matrix(r)
+            for rel, r in evaluate_relations(relations, rep.act, rep.ctx, _matrix_ops())}
+    return {"zero": zero, "all_zero": all(zero.values())}
 
 
 @dataclass(frozen=True)
@@ -373,24 +363,6 @@ def is_simple(rep):
     return SimplicityCertificate(simple=span_dim == target, span_dim=span_dim, path="exact")
 
 
-def act_matrix(rep, element):
-    """Matrix by which a normal-formed algebra element acts (full modules only)."""
-    if not isinstance(element, PBWElement):
-        raise TypeError("expected a PBW element")
-    if "e2" not in rep.act:
-        raise ValueError("general elements act only on full-algebra modules")
-    ctx = rep.ctx
-    d = rep.dim
-    out = linalg.zero_matrix(d)
-    for key, co in element.terms.items():
-        M = linalg.identity(ctx, d)
-        for gname, e in zip(element.alg.NAMES, key):
-            for _ in range(e):
-                M = linalg.mat_mul(M, rep.act[gname])
-        out = linalg.mat_add(out, linalg.mat_scale(M, co))
-    return out
-
-
 def central_character(rep):
     """Scalars by which the distinguished commuting elements act.
 
@@ -426,20 +398,3 @@ def central_character(rep):
             raise ArithmeticError("%s failed to act as a scalar" % name)
         out[name] = c
     return out
-
-
-def e2_from_subalgebra_action(rep):
-    """Reconstruct the e2 matrix of a V1/V2/V3 module via (zt - z/(q^2-1)) e3^(-1).
-
-    Requires the e3 action to be invertible (true for these families); used to
-    cross-check the closed-form primed actions.
-    """
-    ctx = rep.ctx
-    act = rep.act
-    # e3 is diagonal for these families
-    if any(k not in row for k, row in enumerate(act["e3"])):
-        raise ValueError("e3 action is not invertible")
-    inv = [{k: row[k].invert()} for k, row in enumerate(act["e3"])]
-    q2 = ctx.q_pow(2)
-    combo = linalg.mat_sub(act["zt"], linalg.mat_scale(act["z"], (q2 - 1).invert()))
-    return linalg.mat_mul(combo, inv)

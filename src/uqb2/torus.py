@@ -180,8 +180,6 @@ def verify_embedding(ctx):
     return {
         "residuals": residuals,
         "all_relations_hold": all(r.is_zero() for r in residuals.values()),
-        "zp_image": zp_image,
-        "zp_reference": reference,
         "zp_image_matches": zp_image == reference,
         "zp_difference": zp_image - reference,
     }

@@ -23,6 +23,15 @@ is a, and q^k * A is the sum of A_t * q^(t+k) read off the q-power table
 unit of Z[q] and the power basis is a Z-basis of Z[q], so multiplying by it
 keeps the content of A.  -q^k is q^(k + m/2) for even m; for odd m it takes
 the general path.  The PBW engine takes the same path on its integer vectors.
+
+The integer kernels touch only nonzero entries.  The convolution loops over
+the nonzero pairs of both operands.  Reducing x^k, k >= phi(m), and shifting
+by q^k both land on a power q^t, t < m: for t < phi(m) it is a basis vector
+and takes one addition, and past the basis its row in the q-power table is
+read through its nonzero (index, entry) pairs.  Those rows are sparse: at
+m = 16 each has one nonzero (Phi_16 = x^8 + 1), and at prime m every one but
+q^(m-1) is a basis vector.  A row's pairs are made the first time a
+reduction needs them (``FieldContext._pairs``).
 """
 
 from __future__ import annotations
@@ -35,11 +44,11 @@ from fractions import Fraction
 
 def _poly_mul_int(a, b):
     out = [0] * (len(a) + len(b) - 1)
+    pairs = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
+            for j, y in pairs:
+                out[i + j] += x * y
     return out
 
 
@@ -164,6 +173,9 @@ class FieldContext:
         self._qpow = powers
         # q^k row -> k, keyed by the rows themselves (no copies)
         self._unit_exp = {row: k for k, row in enumerate(powers)}
+        # the nonzero (index, entry) pairs of each row q^t with t >= d, made by
+        # ``_pairs`` on first use (see ``_mul_int``)
+        self._sparse = [None] * m
 
         self.zero = CycNum(self, (0,) * d, 1)
         self.one = CycNum(self, self._qpow[0], 1)
@@ -176,11 +188,22 @@ class FieldContext:
         """q^k for any integer k (negative exponents wrap around)."""
         return CycNum(self, self._qpow[k % self.m], 1)
 
+    def _pairs(self, t):
+        """The nonzero (index, entry) pairs of the q^t row, t >= degree."""
+        pairs = self._sparse[t] = tuple((i, y) for i, y in enumerate(self._qpow[t]) if y)
+        return pairs
+
     def laurent(self, coeff):
         """The scalar sum of n q^e over a {e: n} mapping, in integer arithmetic."""
-        total = [0] * self.degree
+        m, d, sparse = self.m, self.degree, self._sparse
+        total = [0] * d
         for e, n in coeff.items():
-            total = [a + n * b for a, b in zip(total, self._qpow[e % self.m])]
+            t = e % m
+            if t < d:  # q^t is a basis vector
+                total[t] += n
+            else:
+                for i, y in sparse[t] or self._pairs(t):
+                    total[i] += n * y
         return CycNum(self, tuple(total), 1)
 
     def from_int(self, n):
@@ -228,25 +251,34 @@ def field_init(m):
 
 def _mul_int(ctx, a, b):
     """Product of two integer power-basis vectors, reduced modulo Phi_m:
-    x^k for k >= d is the row of q^(k mod m) in the q-power table."""
-    d, m, qpow = ctx.degree, ctx.m, ctx._qpow
+    x^k for k >= d is q^t, t = k mod m, a basis vector when t < d and
+    otherwise read through the nonzero entries of its row in the q-power
+    table.  Those (index, entry) pairs are made the first time a row is
+    needed (``FieldContext._pairs``), because making them all with the
+    context would cost more than the rest of ``field_init``."""
+    d, m, sparse = ctx.degree, ctx.m, ctx._sparse
     conv = _poly_mul_int(a, b)
     out = conv[:d]
     for k in range(d, len(conv)):
         c = conv[k]
         if c:
-            row = qpow[k % m]
-            for i in range(d):
-                out[i] += c * row[i]
+            t = k % m
+            if t < d:
+                out[t] += c
+            else:
+                for i, y in sparse[t] or ctx._pairs(t):
+                    out[i] += c * y
     return out
 
 
 def _substitute(ctx, A, j, k):
     """Integer tuple of q^k * sigma_j(A), where sigma_j sends q to q^j: the
-    sum of A_t * q^(j*t + k), read off the q-power table.  With j = 1 it is
-    the unit fast path: q^k * A with no convolution, keeping the content of A
+    sum of A_t * q^(j*t + k), read off the q-power table.  A row past the
+    basis is read through its nonzero (index, entry) pairs, made the first
+    time they are needed, as ``_mul_int`` makes them.  With j = 1 it is the
+    unit fast path: q^k * A with no convolution, keeping the content of A
     (``CycNum.__mul__`` and the PBW engine both take it)."""
-    m, d, qpow = ctx.m, ctx.degree, ctx._qpow
+    m, d, sparse = ctx.m, ctx.degree, ctx._sparse
     out = [0] * d
     s = k % m  # j*t + k mod m, for t = 0, 1, ...
     for x in A:
@@ -254,9 +286,8 @@ def _substitute(ctx, A, j, k):
             if s < d:  # q^s is a basis vector
                 out[s] += x
             else:
-                for i, y in enumerate(qpow[s]):
-                    if y:
-                        out[i] += x * y
+                for i, y in sparse[s] or ctx._pairs(s):
+                    out[i] += x * y
         s = (s + j) % m
     return tuple(out)
 

@@ -67,7 +67,7 @@ def test_q_pow_additive_in_exponent():
         assert ctx.q_pow(k1) * ctx.q_pow(k2) == ctx.q_pow(k1 + k2)
 
 
-@pytest.mark.parametrize("m", [5, 6, 9, 12, 30])
+@pytest.mark.parametrize("m", [5, 6, 9, 12, 16, 20, 30, 31, 997])
 def test_laurent_matches_the_sum_of_q_powers(m):
     ctx = field_init(m)
     random.seed(m)
@@ -180,6 +180,90 @@ def test_unit_products_match_the_general_product(m):
                 for c in (a * u, u * a):
                     assert (c.num, c.den) == (general.num, general.den), (a, k)
                     _assert_canonical(c)
+
+
+def _schoolbook_mod_phi(poly, m):
+    """The remainder of ``poly`` (ascending integer coefficients) on long
+    division by the monic Phi_m: the reference for the Z[q] kernels."""
+    phi = cyclotomic_polynomial(m)
+    d = len(phi) - 1
+    r = list(poly) + [0] * d
+    for k in range(len(r) - 1, d - 1, -1):
+        c = r[k]
+        if c:
+            for i, p in enumerate(phi):
+                r[k - d + i] -= c * p
+    assert not any(r[d:])
+    return r[:d]
+
+
+def _schoolbook_product(a, b):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _kernel_operands(d, rng):
+    """Dense vectors, vectors with 1-3 nonzeros, and coefficients near 2^64."""
+    out = [[rng.randrange(-9, 10) for _ in range(d)] for _ in range(2)]
+    for count in (1, 2, 3):
+        vec = [0] * d
+        for i in rng.sample(range(d), min(count, d)):
+            vec[i] = rng.choice((-1, 1)) * rng.randrange(1, 4)
+        out.append(vec)
+    out.append([rng.choice((-1, 1)) * (2 ** 64 + rng.randrange(-99, 100)) if rng.random() < 0.7 else 0
+                for _ in range(d)])
+    return out
+
+
+def _check_kernels(m, operands, shifts):
+    ctx = field_init(m)
+    for a in operands:
+        for b in operands:
+            want = _schoolbook_mod_phi(_schoolbook_product(a, b), m)
+            assert cyclotomic._mul_int(ctx, tuple(a), tuple(b)) == want, (a, b)
+    for a in operands:
+        for j, k in shifts:
+            poly = [0] * m
+            for t, x in enumerate(a):
+                poly[(j * t + k) % m] += x
+            want = _schoolbook_mod_phi(poly, m)
+            assert cyclotomic._substitute(ctx, tuple(a), j, k) == tuple(want), (a, j, k)
+
+
+@pytest.mark.parametrize("m", range(5, 65))
+def test_kernels_match_long_division_by_phi(m):
+    rng = random.Random(3000 + m)
+    units = [j for j in range(1, m) if math.gcd(j, m) == 1]
+    shifts = [(j, rng.randrange(-2 * m, 2 * m)) for j in units] + [(1, 0), (1, m - 1)]
+    _check_kernels(m, _kernel_operands(len(units), rng), shifts)
+
+
+@pytest.mark.parametrize("m", (997, 1000))
+def test_kernels_match_long_division_by_phi_at_large_m(m):
+    rng = random.Random(m)
+    d = len(cyclotomic_polynomial(m)) - 1
+    operands = _kernel_operands(d, rng)[2:]  # one dense operand keeps it to seconds
+    shifts = [(1, 0), (1, m - 1), (1, rng.randrange(m)), (m - 1, 0), (7, rng.randrange(m)), (999, 3)]
+    _check_kernels(m, operands, shifts)
+
+
+def test_products_do_not_depend_on_the_order_rows_are_made():
+    m = 30
+    up, down = field_init(m), field_init(m)
+    for k in range(m):
+        # each shift of 1 by q^k reads the row of q^k
+        cyclotomic._substitute(up, up.one.num, 1, k)
+        cyclotomic._substitute(down, down.one.num, 1, m - 1 - k)
+    rng = random.Random(m)
+    operands = [tuple(a) for a in _kernel_operands(up.degree, rng)]
+    for a in operands:
+        for b in operands:
+            assert cyclotomic._mul_int(up, a, b) == cyclotomic._mul_int(down, a, b)
+        for j in (1, 7, 11, 29):
+            assert cyclotomic._substitute(up, a, j, 5) == cyclotomic._substitute(down, a, j, 5)
 
 
 def _random_scalar(ctx, rng):

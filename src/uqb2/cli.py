@@ -42,10 +42,6 @@ def matrix_json(M, zero):
 _encode = json.encoder.encode_basestring_ascii
 
 
-def _emit(payload):
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-
-
 # one term of an ``nf`` answer, as ``json.dumps`` writes ``term_json(key, coeff)``
 # at that depth; the coordinate strings need no escaping
 _TERM = ('{\n      "i": %d,\n      "j": %d,\n      "k": %d,\n      "n": %d,\n'
@@ -65,7 +61,7 @@ def nf_json(m, text, x):
 
 def _parse_matrix(spec):
     if spec in lattice.NAMED_MATRICES:
-        return lattice.NAMED_MATRICES[spec], spec
+        return lattice.NAMED_MATRICES[spec]
     try:
         with open(spec) as fh:
             rows = [
@@ -77,7 +73,7 @@ def _parse_matrix(spec):
         raise ValueError("matrix %r is neither a built-in name nor a readable file: %s" % (spec, exc))
     if not rows or any(len(r) != len(rows) for r in rows):
         raise ValueError("matrix file must hold a square whitespace-separated integer grid")
-    return tuple(tuple(r) for r in rows), spec
+    return tuple(tuple(r) for r in rows)
 
 
 def _parse_params(ctx, family, text):
@@ -85,90 +81,75 @@ def _parse_params(ctx, family, text):
     return repmod.module_params(ctx, family, *values)
 
 
-def cmd_nf(args):
+def _module(args):
+    """The module of ``--family`` at ``--params`` over Q(zeta_m)."""
     ctx = field_init(args.m)
-    x = expr.evaluate(args.expr, PBWAlgebra(ctx))
-    sys.stdout.write(nf_json(args.m, args.expr, x) + "\n")
-    return 0
+    return repmod.build(ctx, _parse_params(ctx, args.family, args.params))
+
+
+# Each command maps its parsed arguments to ``(answer, passed)``: the answer
+# is a payload dict, or the finished text of ``nf``, and ``passed`` is false
+# when a contracted check failed.  ``main`` writes the answer and the exit code.
+def cmd_nf(args):
+    x = expr.evaluate(args.expr, PBWAlgebra(field_init(args.m)))
+    return nf_json(args.m, args.expr, x), True
 
 
 def cmd_central(args):
-    ctx = field_init(args.m)
-    alg = PBWAlgebra(ctx)
+    alg = PBWAlgebra(field_init(args.m))
     witness = alg.commutator_witness(expr.evaluate(args.expr, alg))
     if witness is not None:
         gname, key, coeff = witness
         witness = {"against": gname, **term_json(key, coeff)}
-    _emit({"m": args.m, "expr": args.expr, "central": witness is None, "witness": witness})
-    return 0
+    return {"expr": args.expr, "central": witness is None, "witness": witness}, True
 
 
 def cmd_pideg(args):
-    H, name = _parse_matrix(args.matrix)
-    snf, degree = lattice.smith_form_and_pi_degree(H, args.m)
-    _emit({
-        "m": args.m,
-        "matrix": name,
-        "invariant_factors": list(snf.diag),
-        "pi_degree": degree,
-    })
-    return 0
+    snf, degree = lattice.smith_form_and_pi_degree(_parse_matrix(args.matrix), args.m)
+    return {"matrix": args.matrix, "invariant_factors": list(snf.diag), "pi_degree": degree}, True
 
 
 def cmd_build_module(args):
-    ctx = field_init(args.m)
-    r = repmod.build(ctx, _parse_params(ctx, args.family, args.params))
-    _emit({
-        "m": args.m,
+    r = _module(args)
+    return {
         "family": args.family,
         "dim": r.dim,
         "generators": list(r.act),
-        "matrices": {g: matrix_json(M, ctx.zero) for g, M in r.act.items()},
-    })
-    return 0
+        "matrices": {g: matrix_json(M, r.ctx.zero) for g, M in r.act.items()},
+    }, True
 
 
 def cmd_check_module(args):
-    ctx = field_init(args.m)
-    r = repmod.build(ctx, _parse_params(ctx, args.family, args.params))
+    r = _module(args)
     v = repmod.verify_relations(r)
-    _emit({
-        "m": args.m,
+    return {
         "family": args.family,
         "dim": r.dim,
         "relations_zero": v["zero"],
         "all_zero": v["all_zero"],
-    })
-    return 0 if v["all_zero"] else 1
+    }, v["all_zero"]
 
 
 def cmd_simple(args):
-    ctx = field_init(args.m)
-    r = repmod.build(ctx, _parse_params(ctx, args.family, args.params))
+    r = _module(args)
     cert = repmod.is_simple(r)
-    _emit({
-        "m": args.m,
+    return {
         "family": args.family,
         "dim": r.dim,
         "simple": cert.simple,
         "certificate": cert.span_dim,
         "path": cert.path,
-    })
-    return 0
+    }, True
 
 
 def cmd_character(args):
-    ctx = field_init(args.m)
-    r = repmod.build(ctx, _parse_params(ctx, args.family, args.params))
-    chars = repmod.central_character(r)
-    _emit({
-        "m": args.m,
+    chars = repmod.central_character(_module(args))
+    return {
         "family": args.family,
         "characters": {
             name: {"scalar": scalar_json(c), "zero": not c} for name, c in chars.items()
         },
-    })
-    return 0
+    }, True
 
 
 def cmd_iso(args):
@@ -176,33 +157,24 @@ def cmd_iso(args):
     p1 = _parse_params(ctx, args.family, args.params1)
     p2 = _parse_params(ctx, args.family, args.params2)
     verdict = isoclass.isomorphism_verdict(ctx, p1, p2)
-    _emit({
-        "m": args.m,
+    return {
         "family": args.family,
         "isomorphic": verdict.isomorphic,
         "witness_p": verdict.witness_p,
         "intertwiner": matrix_json(verdict.intertwiner, ctx.zero) if verdict.intertwiner else None,
-    })
-    return 0
+    }, True
 
 
 def cmd_center_report(args):
-    ctx = field_init(args.m)
-    rep = structure.center_report(PBWAlgebra(ctx))
+    rep = structure.center_report(PBWAlgebra(field_init(args.m)))
     contracted = [v for k, v in rep["central"].items() if k != "zp"]
-    contracted += list(rep["subalgebra_central"].values())
-    witness = rep["zp_witness"]
-    if witness is not None:
-        witness = dict(witness)
-        witness["monomial"] = list(witness["monomial"])
-    _emit({
-        "m": args.m,
+    ok = all(contracted) and all(rep["subalgebra_central"].values())
+    return {
         "central": rep["central"],
         "subalgebra_central": rep["subalgebra_central"],
-        "zp_witness": witness,
-        "all_contracted_pass": all(contracted),
-    })
-    return 0 if all(contracted) else 1
+        "zp_witness": rep["zp_witness"],
+        "all_contracted_pass": ok,
+    }, ok
 
 
 def cmd_torus_check(args):
@@ -210,20 +182,17 @@ def cmd_torus_check(args):
     emb = torus.verify_embedding(ctx)
     affine = torus.affine_center_checks(ctx)
     ok = emb["all_relations_hold"] and all(affine.values())
-    _emit({
-        "m": args.m,
+    return {
         "relation_images_zero": {k: v.is_zero() for k, v in emb["residuals"].items()},
         "affine_center_monomials_commute": affine,
         "bracket_image_equals_X2X4X1": emb["zp_image_matches"],
         "all_contracted_pass": ok,
-    })
-    return 0 if ok else 1
+    }, ok
 
 
 def cmd_conformance(args):
     report = conformance.run_conformance(args.m)
-    _emit(report)
-    return 0 if report["all_pass"] else 1
+    return report, report["all_pass"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -274,17 +243,43 @@ def build_parser():
     return parser
 
 
+def _dash_values(argv):
+    """``argv`` with each value that begins with '-' (``-e1``, ``-1,q``) in a
+    form argparse reads as a value: ``--params -1,q`` becomes
+    ``--params=-1,q``, and a positional ``-e1`` moves behind ``--``.  A
+    token from ``--`` on, ``-h`` and every ``--option`` stay as they are."""
+    end = argv.index("--") if "--" in argv else len(argv)
+    if not argv or argv[0].startswith("-"):
+        return argv
+    out, moved = [argv[0]], []
+    for tok in argv[1:end]:
+        if not tok.startswith("-") or tok.startswith("--") or tok == "-h":
+            out.append(tok)
+        elif out[-1].startswith("--") and "=" not in out[-1] and not "--help".startswith(out[-1]):
+            out[-1] += "=" + tok
+        else:
+            moved.append(tok)
+    return out + ["--", *moved, *argv[end + 1:]] if moved or end < len(argv) else out
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: write its answer to stdout as one JSON document (a
+    payload after a leading ``"m"``) and return 0, or 1 when a contracted
+    check failed; on a usage error write one ``error:`` line to stderr and
+    return 2."""
+    args = build_parser().parse_args(_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         check_order(args.m)
-        return args.fn(args)
+        answer, passed = args.fn(args)
     except (expr.ParseError, ValueError, ArithmeticError, RecursionError) as exc:
         # ArithmeticError: input that divides by zero, such as "1/0";
         # RecursionError: an expression nested or chained too deeply
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    if not isinstance(answer, str):
+        answer = json.dumps({"m": args.m, **answer}, indent=2)
+    sys.stdout.write(answer + "\n")
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

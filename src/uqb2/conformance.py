@@ -133,9 +133,8 @@ def _checks(ctx, alg, info):
     for family in ("V1p", "V2p", "V3p", "V4p"):
         pa, pb = _sample_params(ctx, family)
         for x, y in ((pa, pa), (pa, pb)):
-            verdict = isoclass.iso_predicate(ctx, x, y)
-            T = isoclass.find_intertwiner(repmod.build(ctx, x), repmod.build(ctx, y))
-            if verdict.isomorphic != (T is not None):
+            verdict = isoclass.isomorphism_verdict(ctx, x, y)
+            if verdict.isomorphic != (verdict.intertwiner is not None):
                 iso_ok = False
         # q-shifted parameter variants: checked to NOT be isomorphisms
         if family != "V1p" and l > 2:
@@ -148,11 +147,10 @@ def _checks(ctx, alg, info):
                 shifted = repmod.module_params(
                     ctx, family, ctx.q_bracket(2, 2) * pa.alpha, q(-2) * pa.beta, pa.gamma
                 )
-            verdict = isoclass.iso_predicate(ctx, shifted, pa)
-            T = isoclass.find_intertwiner(repmod.build(ctx, shifted), repmod.build(ctx, pa))
-            if verdict.isomorphic != (T is not None):
+            verdict = isoclass.isomorphism_verdict(ctx, shifted, pa)
+            if verdict.isomorphic != (verdict.intertwiner is not None):
                 iso_ok = False
-            if verdict.isomorphic or T is not None:
+            if verdict.isomorphic or verdict.intertwiner is not None:
                 shifted_not_iso = False
     yield ("classification_predicate_matches_solver", iso_ok)
     info.append({

@@ -113,7 +113,7 @@ def _spun_candidate(gens1, gens2, word, i, ctx, p=None, words=None):
     if len(null1) != 1:
         return False, None, None
     if words is None:
-        basis1, words = spin(gens1, p, null1[0])
+        basis1, words = spin(gens1, null1[0], p)
     else:
         basis1 = replay(gens1, null1[0], words, p)
     T = _solve(basis1, replay(gens2, null2[0], words, p), len(gens1[0]), p)

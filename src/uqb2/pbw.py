@@ -252,8 +252,6 @@ class PBWAlgebra:
         one = self.ctx.one.num
         if n == 0:
             return (((0, j, k, 0), one, 0),)
-        if j == k == 0:
-            return (((0, 0, 0, n), one, 0),)
         if j and k:
             # e2^n e3^j is a sum of z^a e3^b e2^c, and z^a e3^b times the
             # normal form of e2^c e1^k is in normal form

@@ -228,7 +228,7 @@ def _times(W, G, d, p):
     return {k: v for k, v in out.items() if v}
 
 
-def spin(gens, p=None, start=None):
+def spin(gens, start, p=None):
     """Basis of the span of all words in the d x d matrices ``gens``, applied
     to ``start``, and ``words[n] = (k, g)``: basis vector n is vector k times
     ``gens[g]`` (``words[0]`` is None).
@@ -236,14 +236,11 @@ def spin(gens, p=None, start=None):
     Words are sparse vectorized dicts {i*d + j: entry}, multiplied by the
     rows of each generator and inserted breadth first until the span is
     full or stops growing.  Words act on the right, so the span stays in the
-    rows i that ``start`` occupies: at most d per row.  The default start is
-    the identity over F_p; over the field pass ``identity_word``.  Over F_p
-    (``p`` given, entries residues) entries are reduced mod p.  A scalar
-    generator is left out: c*W adds nothing to a span that holds W.
+    rows i that ``start`` occupies: at most d per row.  Over F_p (``p``
+    given, entries residues) entries are reduced mod p.  A scalar generator
+    is left out: c*W adds nothing to a span that holds W.
     """
     d = len(gens[0])
-    if start is None:
-        start = identity_word(d, 1)
     target = d * len({k // d for k in start})
     rows = [(g, G) for g, G in enumerate(gens) if linalg.scalar_of(G) is None]
     span = linalg.SparseEchelon(p)
@@ -266,9 +263,9 @@ def identity_word(d, one):
     return {i * d + i: one for i in range(d)}
 
 
-def word_span(gens, p=None, start=None):
+def word_span(gens, start, p=None):
     """Dimension of the span that ``spin`` finds."""
-    return len(spin(gens, p, start)[0])
+    return len(spin(gens, start, p)[0])
 
 
 def replay(gens, start, words, p=None):
@@ -327,7 +324,7 @@ def norton_test(gens, p):
     _, theta, i = chosen
     d, lam = len(theta), theta[i].get(i, 0)
     (v,), (w,) = (eigenvectors(t, lam, p=p) for t in (theta, linalg.transpose(theta)))
-    return word_span(gens, p, v) == d and word_span([linalg.transpose(G) for G in gens], p, w) == d
+    return word_span(gens, v, p) == d and word_span([linalg.transpose(G) for G in gens], w, p) == d
 
 
 def is_simple(rep):
@@ -359,7 +356,7 @@ def is_simple(rep):
     reduced = residue_action(rep)
     if reduced is not None and norton_test(list(reduced[1].values()), reduced[0]):
         return SimplicityCertificate(simple=True, span_dim=target, path="modular")
-    span_dim = word_span(list(rep.act.values()), start=identity_word(rep.dim, rep.ctx.one))
+    span_dim = word_span(list(rep.act.values()), identity_word(rep.dim, rep.ctx.one))
     return SimplicityCertificate(simple=span_dim == target, span_dim=span_dim, path="exact")
 
 

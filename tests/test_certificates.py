@@ -219,7 +219,7 @@ def test_span_lost_mod_p_falls_back(context_factory, exact_spin_calls):
     rep = _module(ctx, "V4p", (p, 0, 0))
     reduced_p, act = repmod.residue_action(rep)
     d = rep.dim
-    assert repmod.word_span(list(act.values()), reduced_p) < d * d
+    assert repmod.word_span(list(act.values()), repmod.identity_word(d, 1), reduced_p) < d * d
     assert repmod.is_simple(rep) == repmod.SimplicityCertificate(True, d * d, "exact")
     # equal mod p, not isomorphic over the field
     other = _module(ctx, "V4p", (2 * p, 0, 0))

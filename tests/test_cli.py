@@ -1,3 +1,4 @@
+import argparse
 import json
 import pathlib
 import random
@@ -5,15 +6,19 @@ from fractions import Fraction
 
 import pytest
 
-from uqb2 import cli, cyclotomic, expr, lattice
+from uqb2 import cli, cyclotomic, expr, lattice, repmod
 from uqb2.pbw import PBWAlgebra
 
 
-def run_cli(capsys, *argv):
-    code = cli.main(list(argv))
+def _main(capsys, argv):
+    code = cli.main(argv)
     captured = capsys.readouterr()
-    payload = json.loads(captured.out) if captured.out.strip() else None
-    return code, payload, captured.err
+    return code, captured.out, captured.err
+
+
+def run_cli(capsys, *argv):
+    code, out, err = _main(capsys, list(argv))
+    return code, json.loads(out) if out.strip() else None, err
 
 
 def test_nf_command(capsys):
@@ -218,6 +223,104 @@ def test_arithmetic_error_is_a_usage_error(capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, explicit", [
+    (["nf", "--m", "5", "-e1"], ["nf", "--m", "5", "--", "-e1"]),
+    (["nf", "--m", "5", "-q^2*e3*e1"], ["nf", "--m", "5", "--", "-q^2*e3*e1"]),
+    (["nf", "-2*e1", "--m", "7"], ["nf", "--m", "7", "--", "-2*e1"]),
+    (["central", "--m", "5", "-e1^5"], ["central", "--m", "5", "--", "-e1^5"]),
+    (["simple", "--m", "5", "--family", "V3", "--params", "-1,1"],
+     ["simple", "--m", "5", "--family", "V3", "--params=-1,1"]),
+    (["character", "--m", "7", "--family", "V2p", "--params", "-q,2,-1"],
+     ["character", "--m", "7", "--family", "V2p", "--params=-q,2,-1"]),
+    (["iso", "--m", "5", "--family", "V3", "--params1", "-1,1", "--params2", "-1,q"],
+     ["iso", "--m", "5", "--family", "V3", "--params1=-1,1", "--params2=-1,q"]),
+], ids=["nf", "nf-product", "nf-before-m", "central", "params", "params-unit", "params1-params2"])
+def test_value_with_a_leading_minus_is_read_as_a_value(capsys, argv, explicit):
+    code, out, err = _main(capsys, argv)
+    assert (code, out, err) == _main(capsys, explicit)
+    assert code == 0 and json.loads(out)["m"] == int(argv[argv.index("--m") + 1])
+
+
+def test_options_and_tokens_after_a_double_dash_stay_as_they_are(capsys):
+    for argv in (["nf", "--m", "5", "--e1"], ["nf", "--m", "5"], ["nf", "--m", "5", "--foo", "-e1"],
+                 ["simple", "--m", "5", "--family", "V3", "--params"], ["nf", "--m", "-e1", "e1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().out == "", argv
+    for argv in (["nf", "--m", "5", "-h"], ["nf", "--m", "5", "--help", "-e1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: uqb2 nf")
+    argv = ["nf", "--m", "5", "--", "--e1", "-h"]
+    assert cli._dash_values(argv) == argv
+    code, out, _ = _main(capsys, argv[:-1])
+    assert code == 0 and json.loads(out)["expr"] == "--e1"
+
+
+_EXPR_WORDS = ("e1", "e2", "e3", "z", "z1", "zt", "zp", "q", "q^-2", "2", "1/2", "0", "foo", "e4",
+               "1/0", "(e1 - e3)")
+_PARAM_PARTS = ("0", "1", "2", "q", "q^-2", "1/2", "-1", "-q", "1/0", "e1", "")
+_PIDEG_FILES = {"empty": "", "ragged": "1 2\n3\n", "non-integer": "0 x\n1 0\n",
+                "not-antisymmetric": "1 2\n3 4\n", "antisymmetric": "0 2 -2\n-2 0 2\n2 -2 0\n"}
+
+
+def _random_expr(rng):
+    words = []
+    for _ in range(rng.randint(1, 4)):
+        word = rng.choice(_EXPR_WORDS)
+        words.append(word + "^%d" % rng.randint(0, 3) if rng.random() < 0.3 else word)
+    text = words[0]
+    for word in words[1:]:
+        text += rng.choice((" + ", " - ", "*", " ")) + word
+    return "-" + text if rng.random() < 0.3 else text
+
+
+def _random_params(rng, family):
+    n = len(repmod._param_spec(family)) + rng.choice((0, 0, 0, -1, 1))
+    return ",".join(rng.choice(_PARAM_PARTS if rng.random() < 0.3 else _PARAM_PARTS[1:6])
+                    for _ in range(max(n, 1)))
+
+
+def _random_argv(rng, files):
+    """A subcommand, then its options and positional in a random order."""
+    command = rng.choice(("nf", "central", "pideg", "build-module", "check-module", "simple",
+                          "character", "iso", "center-report", "torus-check"))
+    family = rng.choice(repmod.FAMILIES)
+    parts = [["--m", str(rng.randint(5, 12))]]
+    if command in ("nf", "central"):
+        parts.append([_random_expr(rng)])
+    elif command == "pideg":
+        parts.append(["--matrix", rng.choice((*lattice.NAMED_MATRICES, "missing", *files))])
+    elif command == "iso":
+        parts += [["--family", family], ["--params1", _random_params(rng, family)],
+                  ["--params2", _random_params(rng, family)]]
+    elif command not in ("center-report", "torus-check"):
+        parts += [["--family", family], ["--params", _random_params(rng, family)]]
+    rng.shuffle(parts)
+    return [command] + [token for part in parts for token in part]
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_every_accepted_argv_keeps_the_exit_code_contract(capsys, tmp_path, monkeypatch, seed):
+    # ROADMAP "Correctness and robustness": 0 pass, 1 a contracted check
+    # failed, 2 usage error, on every input argparse accepts
+    monkeypatch.chdir(tmp_path)
+    for name, text in _PIDEG_FILES.items():
+        (tmp_path / name).write_text(text)
+    rng = random.Random(seed)
+    for _ in range(300):
+        argv = _random_argv(rng, _PIDEG_FILES)
+        code, out, err = _main(capsys, argv)
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+            assert err.endswith("\n"), argv
+        else:
+            assert err == "" and out.endswith("}\n"), argv
+            assert json.loads(out)["m"] == int(argv[argv.index("--m") + 1]), argv
+
+
 _FLAT_SUM = "+".join(["e1"] * 1500)
 
 
@@ -294,19 +397,30 @@ _JSON_EDGE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("path", sorted(_GOLDEN.glob("*.json")), ids=lambda p: p.stem)
-def test_writer_matches_json_dumps_on_every_golden(path, capsys):
-    # every golden is the bytes ``_emit`` writes for its own payload
+def _main_writes(monkeypatch, capsys, m, payload):
+    """What ``cli.main`` writes for a command whose answer is ``payload``."""
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--m", type=int)
+    parser.set_defaults(fn=lambda args: (payload, True))
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    assert cli.main(["--m", str(m)]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("path", sorted(set(_GOLDEN.glob("*.json")) - {_GOLDEN / "MANIFEST.json"}),
+                         ids=lambda p: p.stem)
+def test_writer_matches_json_dumps_on_every_golden(path, capsys, monkeypatch):
+    # every golden answer is the bytes ``main`` writes for its own payload
     text = path.read_text()
-    cli._emit(json.loads(text))
-    assert capsys.readouterr().out == text
+    payload = json.loads(text)
+    assert _main_writes(monkeypatch, capsys, payload["m"], payload) == text
 
 
 @pytest.mark.parametrize("value", _JSON_EDGE_CASES, ids=repr)
-def test_writer_matches_json_dumps_on_edge_cases(value, capsys):
-    for payload in (value, {"k": [value]}):
-        cli._emit(payload)
-        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+def test_writer_matches_json_dumps_on_edge_cases(value, capsys, monkeypatch):
+    for payload in ({"v": value}, {"k": [value]}):
+        out = _main_writes(monkeypatch, capsys, 5, payload)
+        assert out == json.dumps({"m": 5, **payload}, indent=2) + "\n"
 
 
 def _random_scalar(rng, ctx):

@@ -355,3 +355,19 @@ def test_unit_powers_match_square_and_multiply(m):
             got = u ** n
             assert (got.num, got.den) == (want.num, want.den), (t, n)
             assert got == ctx.q_pow(t * n)
+
+
+def test_power_squares_no_further_than_the_top_bit(monkeypatch):
+    # square-and-multiply: one product per bit below the top and one per set
+    # bit past the first, which multiplies into 1 by the unit path
+    ctx = field_init(7)
+    calls = []
+    mul_int = cyclotomic._mul_int
+    monkeypatch.setattr(cyclotomic, "_mul_int", lambda *a: calls.append(a) or mul_int(*a))
+    x = 1 + ctx.q
+    expected = ctx.one
+    for n in range(1, 41):
+        expected = expected * x
+        calls.clear()
+        assert x ** n == expected
+        assert len(calls) == n.bit_length() + bin(n).count("1") - 2, n

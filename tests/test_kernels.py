@@ -299,7 +299,8 @@ def _dense_closure(gens, p=None):
 
 def _check_closure(rep, exact):
     p, act = repmod.residue_action(rep)
-    assert repmod.word_span(list(act.values()), p) == _dense_closure(list(act.values()), p)
+    gens = list(act.values())
+    assert repmod.word_span(gens, repmod.identity_word(rep.dim, 1), p) == _dense_closure(gens, p)
     assert repmod.word_span(list(rep.act.values()), start=repmod.identity_word(rep.dim, rep.ctx.one)) == exact
 
 
@@ -327,7 +328,7 @@ def test_closure_span_lost_mod_p(context_factory):
     rep = _module(ctx, "V4p", (p, 0, 0))
     d = rep.dim
     _, act = repmod.residue_action(rep)
-    assert repmod.word_span(list(act.values()), p) < d * d
+    assert repmod.word_span(list(act.values()), repmod.identity_word(d, 1), p) < d * d
     assert not _norton(rep)
     _check_closure(rep, _dense_closure(list(rep.act.values())))
 
@@ -384,7 +385,7 @@ def test_norton_declines_where_a_repeated_eigenvalue_would_certify():
     p = 7
     x, y = _sparse([[1, 0, 0], [0, 1, 0], [0, 0, 2]]), _sparse([[1, 0, 1], [0, 1, 1], [1, 1, 0]])
     assert _dense_closure([x, y], p) == 5
-    assert repmod.word_span([x, y], p, {0: 1}) == 3
+    assert repmod.word_span([x, y], {0: 1}, p) == 3
     assert not repmod.norton_test([x, y], p)
 
 

@@ -410,9 +410,11 @@ class CycNum:
         """Image in F_p under q -> r, with (p, r) from ``residue_map``; None
         when p divides the denominator."""
         p, rpow = residue_map(self.ctx.m)
-        if self.den % p == 0:
+        den = self.den
+        if den % p == 0:
             return None
-        return sum(n * r for n, r in zip(self.num, rpow)) * pow(self.den, -1, p) % p
+        s = sum(map(operator.mul, self.num, rpow))
+        return (s if den == 1 else s * pow(den, -1, p)) % p
 
     def __truediv__(self, other):
         o = self._coerce(other)

@@ -125,15 +125,26 @@ def letter_image(letter, images, ctx, ops=ELEMENT_OPS):
     return images[letter]
 
 
+def _word_image(word, images, ctx, ops):
+    """The image of ``word``, letters separated by spaces: the product of the
+    images of its two halves, each looked up in and stored to ``images`` as a
+    letter is, so a subword that several words share is multiplied once."""
+    if word not in images:
+        letters = word.split()
+        if len(letters) == 1:
+            return letter_image(word, images, ctx, ops)
+        h = len(letters) // 2
+        images[word] = ops[0](_word_image(" ".join(letters[:h]), images, ctx, ops),
+                              _word_image(" ".join(letters[h:]), images, ctx, ops))
+    return images[word]
+
+
 def _combine(terms, images, ctx, ops, factor):
     """The sum of coefficient * factor * word over ``terms``."""
-    mul, scale, add, sub = ops
+    _, scale, add, sub = ops
     total = None
     for coeff, word in terms:
-        x = None
-        for letter in word.split():
-            y = letter_image(letter, images, ctx, ops)
-            x = y if x is None else mul(x, y)
+        x = _word_image(word, images, ctx, ops)
         # after the first term a negative coefficient is subtracted, so the
         # scalar is more often a unit q^k: -q^k is not one at odd m
         sign = 1 if total is None or any(n > 0 for n in coeff.values()) else -1

@@ -360,6 +360,36 @@ def is_simple(rep):
     return SimplicityCertificate(simple=span_dim == target, span_dim=span_dim, path="exact")
 
 
+def _scalar_power(M, l, ctx):
+    """The scalar c with M^l = c*I, or None if M^l is not scalar.
+
+    A Krylov certificate decides first, from the start s = e_0 and then
+    s = e_(d-1): if the residues of s*M^k for k < d enter a ``SparseEchelon``
+    mod p one by one, the exact s*M^k are a basis, as a rank mod p is at
+    most the exact rank.  M^l commutes with M, so M^l = c*I exactly when
+    s*M^l = c*s; from any start, an s*M^l that is not a multiple of s rules
+    a scalar out.  A start whose residues do not all enter is dropped; when
+    both are, ``linalg.mat_pow`` decides.
+    """
+    d = len(M)
+    p = residue_map(ctx.m)[0]
+    for i in dict.fromkeys((0, d - 1)):
+        v = {i: ctx.one}
+        span = linalg.SparseEchelon(p)
+        for k in range(l):
+            if k < d:
+                res = linalg.mat_residues([v])
+                if res is None or not span.insert(res[0]):
+                    break
+            (v,) = linalg.mat_mul([v], M)
+        else:
+            if len(v) != (i in v):  # s*M^l is not a multiple of s
+                return None
+            if len(span) == d:
+                return v.get(i, ctx.zero)
+    return linalg.scalar_of(linalg.mat_pow(ctx, M, l), ctx.zero)
+
+
 def central_character(rep):
     """Scalars by which the distinguished commuting elements act.
 
@@ -368,29 +398,17 @@ def central_character(rep):
     verified-simple module indicates a bug, so it raises.
     """
     ctx = rep.ctx
-    l = ctx.l
     act = rep.act
-    mp = lambda M, n: linalg.mat_pow(ctx, M, n)
     if "e2" in act:
         zt, z1 = evaluate_letters(("zt", "z1"), act, ctx, _matrix_ops())
-        items = {
-            "e1^l": mp(act["e1"], l),
-            "e2^l": mp(act["e2"], l),
-            "e3^l": mp(act["e3"], l),
-            "z": act["z"],
-            "z1": z1,
-            "zt^l": mp(zt, l),
-        }
+        items = {"e1^l": act["e1"], "e2^l": act["e2"], "e3^l": act["e3"], "z": act["z"],
+                 "z1": z1, "zt^l": zt}
     else:
-        items = {
-            "e1^l": mp(act["e1"], l),
-            "e3^l": mp(act["e3"], l),
-            "zt^l": mp(act["zt"], l),
-            "z": act["z"],
-        }
+        items = {"e1^l": act["e1"], "e3^l": act["e3"], "zt^l": act["zt"], "z": act["z"]}
     out = {}
     for name, M in items.items():
-        c = linalg.scalar_of(M, ctx.zero)
+        c = (_scalar_power(M, ctx.l, ctx) if name.endswith("^l")
+             else linalg.scalar_of(M, ctx.zero))
         if c is None:
             raise ArithmeticError("%s failed to act as a scalar" % name)
         out[name] = c

@@ -371,3 +371,22 @@ def test_power_squares_no_further_than_the_top_bit(monkeypatch):
         calls.clear()
         assert x ** n == expected
         assert len(calls) == n.bit_length() + bin(n).count("1") - 2, n
+
+
+@pytest.mark.parametrize("m", range(5, 65))
+def test_residue_equals_the_dot_product_formula(m):
+    # the residue is sum(num_t * r^t) / den mod p; a denominator 1 takes no
+    # inverse, and a denominator that p divides has no residue
+    ctx = field_init(m)
+    p, rpow = residue_map(m)
+    rng = random.Random(m)
+    values = [ctx.q_pow(rng.randrange(m)) for _ in range(3)] + [-ctx.q_pow(rng.randrange(m))]
+    for _ in range(8):
+        nums = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(ctx.degree)]
+        values.append(cyclotomic._make(ctx, nums, rng.choice((1, rng.randint(2, 10 ** 4)))))
+    for x in values:
+        expected = sum(n * r for n, r in zip(x.num, rpow)) * pow(x.den, -1, p) % p
+        assert x.residue() == expected, (m, x.num, x.den)
+    nums = [rng.randint(1, 100) for _ in range(ctx.degree)]
+    assert cyclotomic._make(ctx, nums, 3 * p).residue() is None
+    assert (ctx.one / p).residue() is None

@@ -7,7 +7,9 @@ zt, z1 and zp: ``structure.named``, the expression evaluator, ``torus-check``,
 ``center-report`` and ``repmod.central_character``.
 """
 
+import functools
 import json
+import random
 
 import pytest
 
@@ -110,3 +112,46 @@ def test_z_tilde_mutation_seen_by_every_consumer(monkeypatch):
     # zt moves by a scalar matrix, so z1 moves by a multiple of the shift e1
     with pytest.raises(ArithmeticError, match="z1 failed"):
         repmod.central_character(rep)
+
+
+def _random_matrices(ctx, letters, d, seed):
+    rng = random.Random(seed)
+    return {g: [{j: ctx.scalar(rng.randint(-3, 3) or 1) for j in range(d) if rng.random() < 0.6}
+                for _ in range(d)] for g in letters}
+
+
+def _fold(rel, images, ctx):
+    # each word as a left-to-right product of its letters, then the sum
+    mul, scale, add, _ = repmod._matrix_ops()
+    total = linalg.zero_matrix(len(next(iter(images.values()))))
+    for coeff, word in rel.terms:
+        x = functools.reduce(mul, (images[w] for w in word.split()))
+        total = add(total, scale(x, ctx.laurent(coeff)))
+    return total
+
+
+@pytest.mark.parametrize("relations, letters, products", [
+    (pbw.FULL_RELATIONS, ("e1", "e2", "e3", "z"), 21),
+    (pbw.SUBALGEBRA_RELATIONS, ("e1", "e3", "z", "zt"), 13),
+])
+def test_shared_subwords_multiplied_once(relations, letters, products):
+    # each word is the product of its two halves, and a subword that several
+    # words share (e2 e1, e1 e2 and e2 e2 in the Serre relations) is
+    # multiplied once: 21 products for the full table, not one per letter
+    # after the first (30)
+    ctx = field_init(7)
+    family = "V1p" if "e2" in letters else "V1"
+    rep = repmod.build(ctx, repmod.module_params(ctx, family, ctx.q, ctx.q_pow(2), 2, ctx.q_pow(3)))
+    mul, *rest = repmod._matrix_ops()
+    for images in (rep.act, _random_matrices(ctx, letters, 4, len(relations))):
+        before = {g: [dict(row) for row in M] for g, M in images.items()}
+        seen = []
+        residuals = pbw.evaluate_relations(
+            relations, images, ctx, (lambda a, b: seen.append(1) or mul(a, b), *rest))
+        assert len(seen) == products
+        folds = [_fold(rel, images, ctx) for rel in relations]
+        assert [r for _, r in residuals] == folds
+        # the caller's map and matrices are untouched
+        assert images == before and list(images) == list(before)
+    # the random matrices satisfy no relation, so not only zeros were compared
+    assert not any(linalg.is_zero_matrix(r) for r in folds)

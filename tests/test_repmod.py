@@ -1,6 +1,8 @@
 import pytest
 
 from uqb2 import lattice, linalg, repmod
+from uqb2.conformance import _sample_params
+from uqb2.cyclotomic import residue_map
 from uqb2.pbw import evaluate_letters
 
 
@@ -223,3 +225,98 @@ def test_mat_pow_matches_repeated_products(context_factory):
                 for n in range(2 * ctx.l + 1):
                     assert linalg.mat_pow(ctx, G, n) == power, (m, family, gname, n)
                     power = linalg.mat_mul(power, G)
+
+
+def _square_and_multiply_character(rep):
+    # every l-th power formed as a matrix, then read as a scalar
+    ctx = rep.ctx
+    mats = dict(rep.act)
+    if "e2" in mats:
+        mats["zt"], mats["z1"] = evaluate_letters(("zt", "z1"), rep.act, ctx, repmod._matrix_ops())
+    out = {}
+    for name, M in mats.items():
+        if name in ("z", "z1"):
+            out[name] = linalg.scalar_of(M, ctx.zero)
+        else:
+            out[name + "^l"] = linalg.scalar_of(linalg.mat_pow(ctx, M, ctx.l), ctx.zero)
+    return out
+
+
+@pytest.fixture
+def mat_pow_calls(monkeypatch):
+    """The matrices of every ``linalg.mat_pow`` call, the fallback of the Krylov certificate."""
+    calls = []
+    mat_pow = linalg.mat_pow
+    monkeypatch.setattr(linalg, "mat_pow", lambda ctx, a, n: calls.append(a) or mat_pow(ctx, a, n))
+    return calls
+
+
+@pytest.mark.parametrize("m", range(5, 33))
+def test_krylov_characters_match_square_and_multiply(context_factory, m):
+    ctx = context_factory(m)
+    for family in repmod.FAMILIES:
+        for params in _sample_params(ctx, family):
+            r = repmod.build(ctx, params)
+            assert repmod.central_character(r) == _square_and_multiply_character(r), (m, params)
+
+
+def test_krylov_characters_on_inputs_the_certificate_declines(context_factory, mat_pow_calls):
+    # gamma = 1/p: e2 has no residues, so both starts are dropped
+    ctx = context_factory(11)
+    p, _ = residue_map(11)
+    r = repmod.build(ctx, repmod.module_params(ctx, "V2p", 1, 1, ctx.one / p))
+    chars = repmod.central_character(r)
+    assert any(M is r.act["e2"] for M in mat_pow_calls)
+    assert chars == _square_and_multiply_character(r)
+    # a direct sum has d = 2l > l: l products cannot fill the span
+    ctx = context_factory(7)
+    s = repmod.build(ctx, repmod.module_params(ctx, "V1p", ctx.q, 2, 1, ctx.q ** 2))
+    r = repmod.direct_sum(s, s)
+    mat_pow_calls.clear()
+    chars = repmod.central_character(r)
+    assert any(M is r.act["e2"] for M in mat_pow_calls)
+    assert chars == _square_and_multiply_character(r)
+
+
+@pytest.mark.parametrize("m", [11, 20])
+def test_krylov_character_of_v1p_with_zero_delta(context_factory, mat_pow_calls, m):
+    # zt has a zero weight in row 0, so e_0 is an eigenvector of e2 and the
+    # start e_(d-1) decides; at m = 20 a second zero weight, in row
+    # ord(q^4) = 5, cuts that Krylov space too, and mat_pow decides
+    ctx = context_factory(m)
+    r = repmod.build(ctx, repmod.module_params(ctx, "V1p", 1, 1, 1, 0))
+    assert list(r.act["e2"][0]) == [0]
+    chars = repmod.central_character(r)
+    assert any(M is r.act["e2"] for M in mat_pow_calls) == (m == 20)
+    assert chars == _square_and_multiply_character(r)
+
+
+def test_krylov_certificate_rejects_non_scalar_powers(context_factory, mat_pow_calls):
+    ctx = context_factory(5)
+    one = linalg.identity(ctx, 2)
+    # e_0 diag(1, 2)^l = e_0, but diag(1, 2)^l is not scalar: e_0 spans too
+    # little, and mat_pow decides
+    M = [{0: ctx.one}, {1: ctx.scalar(2)}]
+    r = repmod.Representation("diag", None, 2, {"e1": M, "e3": one, "zt": one, "z": one}, ctx)
+    with pytest.raises(ArithmeticError, match="e1\\^l"):
+        repmod.central_character(r)
+    assert any(x is M for x in mat_pow_calls)
+    # e_0 is cyclic for [[0, 1], [1, 1]], and e_0 M^l is not a multiple of
+    # e_0: decided without mat_pow
+    M = [{1: ctx.one}, {0: ctx.one, 1: ctx.one}]
+    r = repmod.Representation("cyclic", None, 2, {"e1": one, "e3": M, "zt": one, "z": one}, ctx)
+    with pytest.raises(ArithmeticError, match="e3\\^l"):
+        repmod.central_character(r)
+    assert not any(x is M for x in mat_pow_calls)
+
+
+def test_primed_e2_power_decided_without_mat_pow(context_factory, mat_pow_calls):
+    ctx = context_factory(20)
+    q = ctx.q
+    for family, vals in (("V1p", (q, q ** 2, 2, q ** 3)), ("V2p", (1, 1, 1)), ("V2p", (q ** 2, 2, q)),
+                         ("V3p", (1, 1)), ("V3p", (q, 2))):
+        mat_pow_calls.clear()
+        r = repmod.build(ctx, repmod.module_params(ctx, family, *vals))
+        chars = repmod.central_character(r)
+        assert not any(M is r.act["e2"] for M in mat_pow_calls), family
+        assert chars["e2^l"] == linalg.scalar_of(linalg.mat_pow(ctx, r.act["e2"], ctx.l))

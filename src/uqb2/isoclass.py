@@ -96,7 +96,10 @@ def _spun_candidate(gens1, gens2, word, i, ctx, p=None, words=None):
     """``(decided, T or None, words)`` from theta, the product of ``gens[g]``
     for g in ``word``, and lambda = theta1[i][i], over F_p or the field.
 
-    v1 and v2 span the null spaces of theta - lambda.  Any intertwiner sends
+    v1 and v2 span the null spaces of theta - lambda, from ``eigenvectors``:
+    on theta1, triangular with lambda once on its diagonal, by substitution;
+    on theta2 too when it is triangular with lambda there at most once,
+    else by ``linalg.nullspace``.  Any intertwiner sends
     v1 to a multiple of v2, so once v1 spins to the whole space (basis B1,
     or ``words`` replayed) it is a multiple of the T with B1 T = B2, the same
     words on v2: T intertwines or nothing nonzero does.  An isomorphism makes

@@ -301,19 +301,68 @@ def choose_theta(gens, p):
     return None
 
 
-def eigenvectors(theta, lam, ctx=None, p=None):
-    """Basis of the row vectors v with v theta = lam v, over ``ctx`` or F_p."""
+def _eigen_system(theta, lam, p=None):
+    """(theta - lam)^T, whose null space is {v : v theta = lam v}, over F_p
+    when ``p`` is given; a diagonal entry that cancels is not stored."""
     rows = linalg.transpose(theta)
     for j, row in enumerate(rows):
-        row[j] = row[j] - lam if j in row else -lam
-    return linalg.nullspace(rows, len(theta), ctx, p)
+        x = row.pop(j, 0) - lam
+        if p is not None:
+            x %= p
+        if x:
+            row[j] = x
+    return rows
+
+
+def eigenvectors(theta, lam, ctx=None, p=None):
+    """Basis of the row vectors v with v theta = lam v, over ``ctx`` or F_p.
+
+    On a triangular theta, lam on no diagonal entry (an absent one is zero)
+    gives [].  On exactly one, at i, v is found by substitution: v_i = 1 and
+    v_j = (sum over k != j of v_k theta[k][j]) / (lam - theta[j][j]) for j
+    from i down (lower) or up (upper), each row of theta read once; then v
+    is scaled so that its last nonzero entry is 1, as ``linalg.nullspace``
+    scales its basis vector.  Any other input goes to ``linalg.nullspace``
+    of ``_eigen_system``; both return the same basis.
+    """
+    d = len(theta)
+    lower = all(j <= i for i, row in enumerate(theta) for j in row)
+    triangular = lower or all(j >= i for i, row in enumerate(theta) for j in row)
+    at = [j for j, row in enumerate(theta) if row.get(j, 0) == lam]
+    if len(at) > 1 or not triangular:
+        return linalg.nullspace(_eigen_system(theta, lam, p), d, ctx, p)
+    if not at:
+        return []
+    if p is None:
+        one, inv, red = ctx.one, lambda x: x.invert(), lambda x: x
+    else:
+        one, inv, red = 1, lambda x: pow(x, -1, p), lambda x: x % p
+    i = at[0]
+    v, acc = {}, {i: one}  # acc[j]: v_k theta[k][j] summed over the rows k solved
+    for k in range(i, -1, -1) if lower else range(i, d):
+        x = red(acc.pop(k, 0))
+        if not x:
+            continue
+        if k != i:
+            x = red(x * inv(lam - theta[k].get(k, 0)))
+        v[k] = x
+        for j, y in theta[k].items():
+            if j != k:
+                acc[j] = acc[j] + x * y if j in acc else x * y
+    last = max(v)
+    if last == i:
+        return [v]
+    c = inv(v[last])
+    return [{k: red(x * c) for k, x in v.items()}]
 
 
 def norton_test(gens, p):
     """Norton's irreducibility test on residue matrices over F_p.
 
     With theta and lambda = theta[i][i] from ``choose_theta``, theta - lambda
-    has nullity 1: v(theta - lambda) = 0 and w(theta - lambda)^T = 0.  If v
+    has nullity 1: v(theta - lambda) = 0 and w(theta - lambda)^T = 0.  theta
+    and theta^T are triangular with lambda once on the diagonal, so
+    ``eigenvectors`` finds v and w by substitution, no elimination.  If v
     spins to F_p^d under the generators and w under their transposes, every
     submodule over the closure contains v or has a quotient whose dual
     contains w, so the module is absolutely irreducible.  True only then.
@@ -338,17 +387,22 @@ def is_simple(rep):
 
     A direct sum whose summands are all certified simple is decided without
     a closure: by the density theorem and Krull-Schmidt its span is the sum
-    of d_i^2 over its isomorphism classes.  Equal action matrices are
-    isomorphic; otherwise ``isoclass.find_intertwiner`` decides exactly (its
-    MeatAxe test decides every simple r1).  A sum with a summand that is not
-    certified simple runs Norton's test and the closure.
+    of d_i^2 over its isomorphism classes.  Summands with equal action
+    matrices are isomorphic and have the same certificate, so each distinct
+    action is certified once; between distinct ones
+    ``isoclass.find_intertwiner`` decides exactly (its MeatAxe test decides
+    every simple r1).  A sum with a summand that is not certified simple
+    runs Norton's test and the closure.
     """
-    if rep.summands and all(is_simple(s).simple for s in rep.summands):
+    distinct = []
+    for s in rep.summands:
+        if not any(r.dim == s.dim and r.act == s.act for r in distinct):
+            distinct.append(s)
+    if distinct and all(is_simple(s).simple for s in distinct):
         from .isoclass import find_intertwiner  # isoclass imports this module
         classes = []
-        for s in rep.summands:
-            if not any(r.dim == s.dim and (r.act == s.act or find_intertwiner(r, s) is not None)
-                       for r in classes):
+        for s in distinct:
+            if not any(r.dim == s.dim and find_intertwiner(r, s) is not None for r in classes):
                 classes.append(s)
         span_dim = sum(s.dim ** 2 for s in classes)
         return SimplicityCertificate(simple=False, span_dim=span_dim, path="summands")

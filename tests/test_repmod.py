@@ -110,6 +110,25 @@ def test_direct_sum_not_simple(context_factory):
     assert cert.span_dim < (2 * r.dim) ** 2
 
 
+@pytest.mark.parametrize("m, family, vals", [(5, "V2p", (1, 1, 1)), (8, "V4p", (1, 1, 0)),
+                                             (16, "V3p", (1, 2))])
+def test_sum_certifies_each_distinct_action_once(context_factory, monkeypatch, m, family, vals):
+    # equal action matrices have the same certificate: M + M, and two builds
+    # of the same parameters, run Norton's test once; M + N runs it twice
+    ctx = context_factory(m)
+    calls = []
+    norton_test = repmod.norton_test
+    monkeypatch.setattr(repmod, "norton_test", lambda gens, p: calls.append(p) or norton_test(gens, p))
+    M, M2 = (repmod.build(ctx, repmod.module_params(ctx, family, *vals)) for _ in range(2))
+    N = repmod.build(ctx, repmod.module_params(ctx, family, *vals[:-1], 3))
+    d = M.dim
+    for pair, certs, span in (((M, M), 1, d * d), ((M, M2), 1, d * d), ((M, N), 2, 2 * d * d)):
+        calls.clear()
+        assert repmod.is_simple(repmod.direct_sum(*pair)) == \
+            repmod.SimplicityCertificate(False, span, "summands")
+        assert len(calls) == certs, pair
+
+
 @pytest.mark.parametrize("d, simple", [(1, True), (2, False)])
 def test_zero_module_simplicity(context_factory, d, simple):
     # every action zero: no matrix entry to take the field's 1 from

@@ -106,7 +106,10 @@ def _checks(ctx, alg, info):
             r = repmod.build(ctx, params)
             v = repmod.verify_relations(r)
             cert = repmod.is_simple(r)
-            chars = repmod.central_character(r)
+            try:
+                chars = repmod.central_character(r)
+            except ArithmeticError:  # a character that is not scalar is a defect
+                chars = None
             good = (
                 v["all_zero"]
                 and r.dim == repmod.module_dimension(ctx, family)
@@ -116,13 +119,15 @@ def _checks(ctx, alg, info):
             # the annihilation pattern of the family, which a primed family
             # shares with the subalgebra family it extends
             base = repmod.base_family(family)
-            if base == "V2" and (chars["e1^l"] or not chars["e3^l"] or not chars["zt^l"]):
+            if chars is None:
                 good = False
-            if base == "V3" and (chars["e1^l"] or chars["zt^l"] or not chars["e3^l"]):
+            elif base == "V2" and (chars["e1^l"] or not chars["e3^l"] or not chars["zt^l"]):
                 good = False
-            if base == "V4p" and chars["e3^l"]:
+            elif base == "V3" and (chars["e1^l"] or chars["zt^l"] or not chars["e3^l"]):
                 good = False
-            if base == "V1" and (not chars["e1^l"] or not chars["e3^l"]):
+            elif base == "V4p" and chars["e3^l"]:
+                good = False
+            elif base == "V1" and (not chars["e1^l"] or not chars["e3^l"]):
                 good = False
             if not good and family not in fam_detail:
                 fam_detail.append(family)

@@ -23,10 +23,6 @@ def scalar_matrix(n, c):
     return [{i: c} for i in range(n)] if c else zero_matrix(n)
 
 
-def identity(ctx, n):
-    return scalar_matrix(n, ctx.one)
-
-
 def transpose(a):
     """The transpose of the square matrix a."""
     out = zero_matrix(len(a))
@@ -74,18 +70,6 @@ def mat_mul(a, b, p=None):
                 y = row.get(j)
                 row[j] = c * x if y is None else y + c * x
         out.append({j: r for j, x in row.items() if (r := x if p is None else x % p)})
-    return out
-
-
-def mat_pow(ctx, a, n):
-    """a^n for n >= 0 by square-and-multiply."""
-    out = identity(ctx, len(a))
-    while n:
-        if n & 1:
-            out = mat_mul(out, a)
-        n >>= 1
-        if n:
-            a = mat_mul(a, a)
     return out
 
 

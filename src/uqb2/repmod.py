@@ -415,41 +415,52 @@ def is_simple(rep):
 
 
 def _scalar_power(M, l, ctx):
-    """The scalar c with M^l = c*I, or None if M^l is not scalar.
+    """The scalar c with M^l = c*I, or None if M^l is not scalar, decided by
+    one block Krylov certificate with no matrix power formed.
 
-    A Krylov certificate decides first, from the start s = e_0 and then
-    s = e_(d-1): if the residues of s*M^k for k < d enter a ``SparseEchelon``
-    mod p one by one, the exact s*M^k are a basis, as a rank mod p is at
-    most the exact rank.  M^l commutes with M, so M^l = c*I exactly when
-    s*M^l = c*s; from any start, an s*M^l that is not a multiple of s rules
-    a scalar out.  A start whose residues do not all enter is dropped; when
-    both are, ``linalg.mat_pow`` decides.
+    The starts are e_0, then e_(d-1), e_(d-2), ..., e_1, each one not yet in
+    the span.  Each start s gets s*M^k for k = 1..l as one-row products, and
+    s*M^k for k < l go into one ``SparseEchelon`` until one adds nothing; an
+    eigenvector, s*M = lambda*s, gives s*M^l = lambda^l*s.  M^l commutes with
+    M, so s*M^l = c*s makes M^l act as c on the Krylov space of s: an s*M^l
+    that is not a multiple of s, or two starts with different c, rule a
+    scalar out, and once the span is full M^l = c*I.  The span is taken mod
+    p, as a rank mod p is at most the exact rank, or over the field when an
+    entry of M has no residue.
     """
     d = len(M)
-    p = residue_map(ctx.m)[0]
-    for i in dict.fromkeys((0, d - 1)):
+    p = residue_map(ctx.m)[0] if linalg.mat_residues(M) is not None else None
+    span = linalg.SparseEchelon(p)
+    vec = (lambda v: v) if p is None else (lambda v: linalg.mat_residues([v])[0])
+    c = None
+    for i in (0, *range(d - 1, 0, -1)):
         v = {i: ctx.one}
-        span = linalg.SparseEchelon(p)
-        for k in range(l):
-            if k < d:
-                res = linalg.mat_residues([v])
-                if res is None or not span.insert(res[0]):
-                    break
+        if len(span) == d or not span.insert(vec(v)):
+            continue
+        (v,) = linalg.mat_mul([v], M)
+        k, grow = 1, True
+        if len(v) == (i in v):  # an eigenvector
+            k, v = l, {i: v[i] ** l} if v else v
+        while k < l and v:  # s*M^k = 0 ends the walk
+            grow = grow and span.insert(vec(v))
             (v,) = linalg.mat_mul([v], M)
-        else:
-            if len(v) != (i in v):  # s*M^l is not a multiple of s
-                return None
-            if len(span) == d:
-                return v.get(i, ctx.zero)
-    return linalg.scalar_of(linalg.mat_pow(ctx, M, l), ctx.zero)
+            k += 1
+        ci = v.get(i, ctx.zero)
+        if len(v) != (i in v) or c is not None and ci != c:  # s*M^l is not c*s
+            return None
+        c = ci
+    return c
 
 
 def central_character(rep):
     """Scalars by which the distinguished commuting elements act.
 
     Full modules report e1^l, e2^l, e3^l, z, z1 and zt^l; subalgebra modules
-    report e1^l, e3^l, zt^l and z.  A non-scalar value for any of these on a
-    verified-simple module indicates a bug, so it raises.
+    report e1^l, e3^l, zt^l and z.  Each l-th power is decided by
+    ``_scalar_power``'s Krylov certificate, with no matrix power formed, and
+    z and z1 are read off their matrices.  A value that is not scalar is a
+    defect on a simple module, so it raises ``ArithmeticError``, which the
+    conformance run records as a failed check.
     """
     ctx = rep.ctx
     act = rep.act

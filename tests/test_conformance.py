@@ -2,7 +2,7 @@
 
 import json
 
-from uqb2 import cli, conformance, repmod, structure
+from uqb2 import cli, conformance, pbw, repmod, structure
 
 
 def _failing(report):
@@ -54,3 +54,20 @@ def test_subalgebra_family_annihilation_pattern_is_checked(monkeypatch):
     failing = _failing(conformance.run_conformance(5))
     assert list(failing) == ["module_families_relations_simplicity_characters"]
     assert failing["module_families_relations_simplicity_characters"]["detail"] == "V2"
+
+
+def test_non_scalar_character_fails_its_check_and_exits_1(monkeypatch, capsys):
+    # a doubled z coefficient in the z_tilde definition makes z1 act as no
+    # scalar: the module-family check fails and names every full family,
+    # where central_character's ArithmeticError used to end the run (exit 2)
+    (i, zt), = ((i, r) for i, r in enumerate(pbw.DEFINITIONS) if r.name == "z_tilde")
+    *rest, (coeff, word) = zt.terms
+    assert word == "z"
+    broken = zt._replace(terms=(*rest, ({e: 2 * c for e, c in coeff.items()}, word)))
+    monkeypatch.setattr(pbw, "DEFINITIONS", pbw.DEFINITIONS[:i] + (broken,) + pbw.DEFINITIONS[i + 1:])
+    failing = _failing(conformance.run_conformance(5))
+    assert failing["module_families_relations_simplicity_characters"]["detail"] == "V1p,V2p,V3p,V4p"
+    assert cli.main(["conformance", "--m", "5"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["all_pass"] is False
+    assert "module_families_relations_simplicity_characters" in _failing(report)

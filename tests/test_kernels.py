@@ -156,7 +156,7 @@ def test_scalar_of_edge_cases(context_factory):
     assert linalg.scalar_of(linalg.zero_matrix(3), ctx.zero) == ctx.zero
     assert linalg.scalar_of(linalg.zero_matrix(3)) == 0
     assert linalg.scalar_of(linalg.scalar_matrix(3, c), ctx.zero) == c
-    assert linalg.scalar_of(linalg.identity(ctx, 1)) == ctx.one
+    assert linalg.scalar_of(linalg.scalar_matrix(1, ctx.one)) == ctx.one
     missing = linalg.scalar_matrix(3, c)
     del missing[1][1]
     assert linalg.scalar_of(missing) is None

@@ -70,7 +70,7 @@ def test_built_matrices_store_no_zero(context_factory, m):
 def test_v1p_scalar_z_action(context_factory):
     ctx = context_factory(5)
     r = repmod.build(ctx, repmod.module_params(ctx, "V1p", 1, 1, 1, 0))
-    assert r.act["z"] == linalg.identity(ctx, r.dim)
+    assert r.act["z"] == linalg.scalar_matrix(r.dim, ctx.one)
 
 
 @pytest.mark.parametrize("m", [5, 6, 8])
@@ -155,7 +155,7 @@ def test_e3_invertible_or_nilpotent_dichotomy(context_factory):
         r = repmod.build(ctx, repmod.module_params(ctx, family, *vals))
         assert linalg.is_invertible(r.act["e3"]), family
     r = repmod.build(ctx, repmod.module_params(ctx, "V4p", 1, 1, 1))
-    power = linalg.mat_pow(ctx, r.act["e3"], ctx.l)
+    power = _power(r.act["e3"], ctx.l, ctx.one)
     assert linalg.is_zero_matrix(power)
 
 
@@ -226,24 +226,24 @@ def test_act_matrix_general_element(context_factory, algebra_factory):
     # generator matrices, against the character's z1
     z1_matrix = linalg.zero_matrix(r.dim)
     for key, co in structure.named(alg, "z_one").terms.items():
-        M = linalg.identity(ctx, r.dim)
+        M = linalg.scalar_matrix(r.dim, ctx.one)
         for gname, e in zip(alg.NAMES, key):
-            M = linalg.mat_mul(M, linalg.mat_pow(ctx, r.act[gname], e))
+            M = linalg.mat_mul(M, _power(r.act[gname], e, ctx.one))
         z1_matrix = linalg.mat_add(z1_matrix, linalg.mat_scale(M, co))
     chars = repmod.central_character(r)
     assert linalg.scalar_of(z1_matrix) == chars["z1"]
 
 
-def test_mat_pow_matches_repeated_products(context_factory):
-    for m in (5, 8):
-        ctx = context_factory(m)
-        for family in repmod.FAMILIES:
-            r = repmod.build(ctx, repmod.module_params(ctx, family, *_sample_tuples(ctx, family)[1]))
-            for gname, G in r.act.items():
-                power = linalg.identity(ctx, r.dim)
-                for n in range(2 * ctx.l + 1):
-                    assert linalg.mat_pow(ctx, G, n) == power, (m, family, gname, n)
-                    power = linalg.mat_mul(power, G)
+def _power(M, n, one):
+    """M^n by square-and-multiply, the reference for the Krylov certificate."""
+    out = linalg.scalar_matrix(len(M), one)
+    while n:
+        if n & 1:
+            out = linalg.mat_mul(out, M)
+        n >>= 1
+        if n:
+            M = linalg.mat_mul(M, M)
+    return out
 
 
 def _square_and_multiply_character(rep):
@@ -257,17 +257,36 @@ def _square_and_multiply_character(rep):
         if name in ("z", "z1"):
             out[name] = linalg.scalar_of(M, ctx.zero)
         else:
-            out[name + "^l"] = linalg.scalar_of(linalg.mat_pow(ctx, M, ctx.l), ctx.zero)
+            out[name + "^l"] = linalg.scalar_of(_power(M, ctx.l, ctx.one), ctx.zero)
     return out
 
 
 @pytest.fixture
-def mat_pow_calls(monkeypatch):
-    """The matrices of every ``linalg.mat_pow`` call, the fallback of the Krylov certificate."""
-    calls = []
-    mat_pow = linalg.mat_pow
-    monkeypatch.setattr(linalg, "mat_pow", lambda ctx, a, n: calls.append(a) or mat_pow(ctx, a, n))
-    return calls
+def power_rows(monkeypatch):
+    """The row count of every ``linalg.mat_mul`` call made under
+    ``repmod._scalar_power``; all 1 when no matrix power is formed."""
+    rows, depth = [], []
+    mat_mul, scalar_power = linalg.mat_mul, repmod._scalar_power
+
+    def counted(a, b, p=None):
+        if depth:
+            rows.append(len(a))
+        return mat_mul(a, b, p)
+
+    def scoped(M, l, ctx):
+        depth.append(M)
+        try:
+            return scalar_power(M, l, ctx)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(linalg, "mat_mul", counted)
+    monkeypatch.setattr(repmod, "_scalar_power", scoped)
+    return rows
+
+
+def _one_row_products(rows):
+    return bool(rows) and set(rows) == {1}
 
 
 @pytest.mark.parametrize("m", range(5, 33))
@@ -279,63 +298,89 @@ def test_krylov_characters_match_square_and_multiply(context_factory, m):
             assert repmod.central_character(r) == _square_and_multiply_character(r), (m, params)
 
 
-def test_krylov_characters_on_inputs_the_certificate_declines(context_factory, mat_pow_calls):
-    # gamma = 1/p: e2 has no residues, so both starts are dropped
+def test_krylov_characters_on_inputs_the_certificate_declines(context_factory, power_rows):
+    # inputs on which the starts e_0 and e_(d-1) alone do not fill the span
+    # gamma = 1/p: e2 has no residues, and the span is taken over the field
     ctx = context_factory(11)
     p, _ = residue_map(11)
     r = repmod.build(ctx, repmod.module_params(ctx, "V2p", 1, 1, ctx.one / p))
+    assert linalg.mat_residues(r.act["e2"]) is None
     chars = repmod.central_character(r)
-    assert any(M is r.act["e2"] for M in mat_pow_calls)
+    assert _one_row_products(power_rows)
     assert chars == _square_and_multiply_character(r)
-    # a direct sum has d = 2l > l: l products cannot fill the span
+    # a direct sum has d = 2l > l: one start's l products cannot fill the span
     ctx = context_factory(7)
     s = repmod.build(ctx, repmod.module_params(ctx, "V1p", ctx.q, 2, 1, ctx.q ** 2))
     r = repmod.direct_sum(s, s)
-    mat_pow_calls.clear()
+    power_rows.clear()
     chars = repmod.central_character(r)
-    assert any(M is r.act["e2"] for M in mat_pow_calls)
+    assert _one_row_products(power_rows)
+    assert chars == _square_and_multiply_character(r)
+    # V4p's e1 is lower triangular with steps of 2: e_0 is an eigenvector and
+    # e_(d-1) reaches only its own parity, so a third start fills the span
+    ctx = context_factory(20)
+    r = repmod.build(ctx, repmod.module_params(ctx, "V4p", 1, 1, 0))
+    power_rows.clear()
+    chars = repmod.central_character(r)
+    assert _one_row_products(power_rows)
     assert chars == _square_and_multiply_character(r)
 
 
+def test_krylov_characters_over_the_field_with_several_starts(context_factory, power_rows):
+    # alpha = 1/p: V4p's e1 has no residues, so its span is taken over the
+    # field, and e_0 is an eigenvector, so it needs more than one start
+    for m in (11, 13):
+        ctx = context_factory(m)
+        p, _ = residue_map(m)
+        r = repmod.build(ctx, repmod.module_params(ctx, "V4p", ctx.one / p, 1, 0))
+        e1 = r.act["e1"]
+        assert linalg.mat_residues(e1) is None
+        assert set(e1[0]) <= {0} and r.dim > 1
+        power_rows.clear()
+        chars = repmod.central_character(r)
+        assert _one_row_products(power_rows)
+        assert chars == _square_and_multiply_character(r), m
+
+
 @pytest.mark.parametrize("m", [11, 20])
-def test_krylov_character_of_v1p_with_zero_delta(context_factory, mat_pow_calls, m):
+def test_krylov_character_of_v1p_with_zero_delta(context_factory, power_rows, m):
     # zt has a zero weight in row 0, so e_0 is an eigenvector of e2 and the
     # start e_(d-1) decides; at m = 20 a second zero weight, in row
-    # ord(q^4) = 5, cuts that Krylov space too, and mat_pow decides
+    # ord(q^4) = 5, cuts that Krylov space too, and further starts fill it
     ctx = context_factory(m)
     r = repmod.build(ctx, repmod.module_params(ctx, "V1p", 1, 1, 1, 0))
     assert list(r.act["e2"][0]) == [0]
     chars = repmod.central_character(r)
-    assert any(M is r.act["e2"] for M in mat_pow_calls) == (m == 20)
+    assert _one_row_products(power_rows)
     assert chars == _square_and_multiply_character(r)
 
 
-def test_krylov_certificate_rejects_non_scalar_powers(context_factory, mat_pow_calls):
+def test_krylov_certificate_rejects_non_scalar_powers(context_factory, power_rows):
     ctx = context_factory(5)
-    one = linalg.identity(ctx, 2)
-    # e_0 diag(1, 2)^l = e_0, but diag(1, 2)^l is not scalar: e_0 spans too
-    # little, and mat_pow decides
+    one = linalg.scalar_matrix(2, ctx.one)
+    # e_0 and e_1 are eigenvectors of diag(1, 2) with e_0 M^l = e_0 and
+    # e_1 M^l = 2^l e_1: two starts with different c
     M = [{0: ctx.one}, {1: ctx.scalar(2)}]
     r = repmod.Representation("diag", None, 2, {"e1": M, "e3": one, "zt": one, "z": one}, ctx)
     with pytest.raises(ArithmeticError, match="e1\\^l"):
         repmod.central_character(r)
-    assert any(x is M for x in mat_pow_calls)
-    # e_0 is cyclic for [[0, 1], [1, 1]], and e_0 M^l is not a multiple of
-    # e_0: decided without mat_pow
+    assert _one_row_products(power_rows)
+    # e_0 is cyclic for [[0, 1], [1, 1]], and e_0 M^l is not a multiple of e_0
     M = [{1: ctx.one}, {0: ctx.one, 1: ctx.one}]
     r = repmod.Representation("cyclic", None, 2, {"e1": one, "e3": M, "zt": one, "z": one}, ctx)
+    power_rows.clear()
     with pytest.raises(ArithmeticError, match="e3\\^l"):
         repmod.central_character(r)
-    assert not any(x is M for x in mat_pow_calls)
+    assert _one_row_products(power_rows)
 
 
-def test_primed_e2_power_decided_without_mat_pow(context_factory, mat_pow_calls):
+def test_primed_e2_power_decided_without_mat_pow(context_factory, power_rows):
     ctx = context_factory(20)
     q = ctx.q
     for family, vals in (("V1p", (q, q ** 2, 2, q ** 3)), ("V2p", (1, 1, 1)), ("V2p", (q ** 2, 2, q)),
                          ("V3p", (1, 1)), ("V3p", (q, 2))):
-        mat_pow_calls.clear()
+        power_rows.clear()
         r = repmod.build(ctx, repmod.module_params(ctx, family, *vals))
         chars = repmod.central_character(r)
-        assert not any(M is r.act["e2"] for M in mat_pow_calls), family
-        assert chars["e2^l"] == linalg.scalar_of(linalg.mat_pow(ctx, r.act["e2"], ctx.l))
+        assert _one_row_products(power_rows), family
+        assert chars["e2^l"] == linalg.scalar_of(_power(r.act["e2"], ctx.l, ctx.one))

@@ -143,7 +143,13 @@ def cmd_simple(args):
 
 
 def cmd_character(args):
-    chars = repmod.central_character(_module(args))
+    r = _module(args)
+    try:
+        chars = repmod.central_character(r)
+    except ArithmeticError as exc:
+        # an element that fails to act as a scalar is a failed check, not a
+        # usage error: the parameters were parsed and the module was built
+        return {"family": args.family, "characters": None, "failure": str(exc)}, False
     return {
         "family": args.family,
         "characters": {

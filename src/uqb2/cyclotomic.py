@@ -12,6 +12,7 @@ arithmetic with a single gcd-normalisation per operation.  Inversion stays
 integral too: a = A/den has 1/a = den * P / N, where P is the product of the
 nontrivial conjugates of A (q -> q^j for 1 < j < m, gcd(j, m) = 1) and
 N = A * P is the norm, a rational integer (Cohen, GTM 138, section 4.3).
+A unit, a rational and +-(q^s - 1) are inverted in closed form instead.
 The q-bracket [k] = (q^(sk) - 1)/(q^s - 1) is the geometric sum of q^(si),
 0 <= i < k, taken straight from the q-power table without any division.
 
@@ -387,14 +388,25 @@ class CycNum:
         With a = A/den, the conjugates sigma_j(A) (q -> q^j, gcd(j, m) = 1)
         are read off the q-power table and multiplied into P pairwise; then
         N = A*P is a rational integer and 1/a = den*P/N, in integer
-        arithmetic throughout.  A unit q^k is inverted as q^(-k).
+        arithmetic throughout.  Three inputs are answered in closed form: a
+        unit q^k is inverted as q^(-k), a rational A_0/den as den/A_0, and
+        A = +-(t - 1), t = q^s of order n, as +-den/n * sum(i * t^i, i < n),
+        since (t - 1) * sum(i * t^i) = n when t^n = 1 and t != 1.
         """
         if self.is_zero():
             raise ZeroDivisionError("cannot invert zero")
         ctx = self.ctx
-        m, A = ctx.m, self.num
-        if self.den == 1 and A in ctx._unit_exp:
-            return ctx.q_pow(-ctx._unit_exp[A])
+        m, A, den, units = ctx.m, self.num, self.den, ctx._unit_exp
+        if den == 1 and A in units:
+            return ctx.q_pow(-units[A])
+        if not any(A[1:]):
+            return _make(ctx, [den] + [0] * (len(A) - 1), A[0])
+        for sign in (1, -1):  # A = sign * (q^s - 1) when sign*A + 1 is q^s
+            s = units.get((sign * A[0] + 1, *(sign * x for x in A[1:])))
+            if s is not None:
+                n = ctx.ord_q_pow(s)
+                total = ctx.laurent({s * i: i for i in range(1, n)}).num
+                return _make(ctx, [sign * den * c for c in total], n)
         factors = [_substitute(ctx, A, j, 0) for j in range(2, m) if math.gcd(j, m) == 1]
         # pairwise, so that the two operands of a product have similar sizes
         while len(factors) > 1:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import operator
 
+from .cyclotomic import residue_map
+
 
 def zero_matrix(n):
     return [{} for _ in range(n)]
@@ -182,11 +184,31 @@ def mat_residues(a):
 
     Reduction to F_p can only lower a rank, so a full rank of the residues
     proves full rank over the field, and any other outcome decides nothing.
+    One pass: p and the powers of r are read once per matrix, a unit q^k is
+    read as r^k, and each distinct denominator is inverted mod p once.
     """
+    first = next((c for row in a for c in row.values()), None)
+    if first is None:
+        return zero_matrix(len(a))
+    ctx = first.ctx
+    p, rpow = residue_map(ctx.m)
+    units, dinv = ctx._unit_exp, {}
     out = []
     for row in a:
-        res = {j: c.residue() for j, c in row.items()}
-        if None in res.values():
-            return None
-        out.append({j: r for j, r in res.items() if r})
+        res = {}
+        for j, c in row.items():
+            num, den = c.num, c.den
+            if den == 1:
+                k = units.get(num)
+                r = rpow[k] if k is not None else sum(map(operator.mul, num, rpow)) % p
+            else:
+                inv = dinv.get(den)
+                if inv is None:
+                    if den % p == 0:
+                        return None
+                    inv = dinv[den] = pow(den, -1, p)
+                r = sum(map(operator.mul, num, rpow)) * inv % p
+            if r:
+                res[j] = r
+        out.append(res)
     return out

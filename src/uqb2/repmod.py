@@ -90,8 +90,27 @@ def module_dimension(ctx, family):
     return ctx.l
 
 
+def _running(ctx, start, step, c, n):
+    """start + [k]_(q^step) * c for k = 0, ..., n-1, where [k] is the
+    geometric sum of q^(step*i) over i < k: each term is the last plus the
+    unit shift q^(step*(k-1)) * c, so no bracket is formed."""
+    x = start
+    for k in range(n):
+        if k:
+            x = x + ctx.q_pow(step * (k - 1)) * c
+        yield x
+
+
 def build(ctx, params):
     """Action matrices for one family at the given parameters.
+
+    Entries are running sums: each row's entry is the last row's plus one
+    unit shift q^j * c (a product with no convolution), with c computed once
+    per build (``_running``).  V1's zt entries step by shifts of b^2/a, V2's
+    and V3's e1 entries by shifts of -b^2/a and -a^2, and V4p's e3 entries
+    a*[k]_(q^2) by shifts of a.  V4p's e1[k][k-2] = -q^(-2(k-1)) C(k,2) a,
+    with C(k,2) the Gaussian binomial in q^2, follows the q-Pascal rule
+    C(k,2) = C(k-1,2) + q^(2(k-2)) [k-1]_(q^2), so V4p inverts nothing.
 
     A primed family V1p, V2p, V3p takes the e1, e3 and z actions of the
     subalgebra family it extends, and e2 = (zt - z/(q^2-1)) e3^(-1) with the
@@ -111,20 +130,19 @@ def build(ctx, params):
     base = base_family(family)
     if base == "V4p":
         e2 = linalg.zero_matrix(d)
-        den_inv = ((q(4) - 1) * (q(2) - 1)).invert()
-        for k in range(d):
+        c2 = ctx.zero  # a * C(k,2)_(q^2)
+        for k, x in enumerate(_running(ctx, ctx.zero, 2, a, d)):  # x = a * [k]_(q^2)
             if b:
                 e1[k][k] = b * q(-2 * k)
             if k >= 2:
-                e1[k][k - 2] = (
-                    -q(-2 * (k - 1)) * ((q(2 * k) - 1) * (q(2 * (k - 1)) - 1) * den_inv) * a
-                )
+                c2 = c2 + q(2 * (k - 2)) * e3[k - 1][k - 2]  # that entry is a * [k-1]
+                e1[k][k - 2] = -(q(-2 * (k - 1)) * c2)
             if k != d - 1:
                 e2[k][k + 1] = ctx.one
             elif g:
                 e2[k][0] = g
             if k:
-                e3[k][k - 1] = a * ctx.q_bracket(k, 2)
+                e3[k][k - 1] = x
         return Representation(family, params, d, {
             "e1": e1, "e2": e2, "e3": e3, "z": linalg.scalar_matrix(d, a)}, ctx)
     # e3 = diag(q^(step*k) * unit) and z = central * 1
@@ -134,33 +152,30 @@ def build(ctx, params):
         e3[k][k] = q(step * k) * unit
     if base == "V1":
         ainv = a.invert()
-        for k in range(d):
+        for k, x in enumerate(_running(ctx, dl * ainv, -4, b * b * ainv, d)):
             e1[k][(k + 1) % d] = a
-            x = ainv * (dl + ctx.q_bracket(k, -4) * b * b)
             if x:
                 zt[k][(k - 1) % d] = x
-    elif base == "V2":
-        ainv = a.invert()
-        for k in range(d):
-            x = k and ainv * b * b * (-ctx.q_bracket(k, 4))
-            if x:  # [k]_4 = 0 at k = l/2 too when l is even
-                e1[k][k - 1] = x
-            zt[k][(k + 1) % d] = a
     else:
-        for k in range(d):
-            if k:
-                e1[k][k - 1] = a * a * (-ctx.q_bracket(k, 4))
-            if k != d - 1:
+        # [k]_4 = 0 at k = 0, and at k = l/2 too in V2 when l is even
+        shift = -(b * b * a.invert()) if base == "V2" else -(a * a)
+        for k, x in enumerate(_running(ctx, ctx.zero, 4, shift, d)):
+            if x:
+                e1[k][k - 1] = x
+            if base == "V2":
+                zt[k][(k + 1) % d] = a
+            elif k != d - 1:
                 zt[k][k + 1] = ctx.one
     z = linalg.scalar_matrix(d, central)
     if family == base:
         return Representation(family, params, d, {"e1": e1, "e3": e3, "z": z, "zt": zt}, ctx)
     # e3^(-1) = diag(q^(-step*k) / unit)
     uinv = unit.invert()
-    e2 = [{j: x * q(-step * j) * uinv for j, x in row.items()} for row in zt]
-    zq = central * (q(2) - 1).invert()
+    inv3 = [q(-step * k) * uinv for k in range(d)]
+    e2 = [{j: x * inv3[j] for j, x in row.items()} for row in zt]
+    zq = central * (q(2) - 1).invert() * uinv
     for k, row in enumerate(e2):
-        x = row.pop(k, ctx.zero) - zq * q(-step * k) * uinv
+        x = row.pop(k, ctx.zero) - q(-step * k) * zq
         if x:
             row[k] = x
     return Representation(family, params, d, {"e1": e1, "e2": e2, "e3": e3, "z": z}, ctx)

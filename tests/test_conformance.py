@@ -56,18 +56,40 @@ def test_subalgebra_family_annihilation_pattern_is_checked(monkeypatch):
     assert failing["module_families_relations_simplicity_characters"]["detail"] == "V2"
 
 
-def test_non_scalar_character_fails_its_check_and_exits_1(monkeypatch, capsys):
-    # a doubled z coefficient in the z_tilde definition makes z1 act as no
-    # scalar: the module-family check fails and names every full family,
-    # where central_character's ArithmeticError used to end the run (exit 2)
+def _double_z_in_z_tilde(monkeypatch):
+    """Double the z coefficient of the z_tilde definition, so that z1 acts
+    on no full module as a scalar."""
     (i, zt), = ((i, r) for i, r in enumerate(pbw.DEFINITIONS) if r.name == "z_tilde")
     *rest, (coeff, word) = zt.terms
     assert word == "z"
     broken = zt._replace(terms=(*rest, ({e: 2 * c for e, c in coeff.items()}, word)))
     monkeypatch.setattr(pbw, "DEFINITIONS", pbw.DEFINITIONS[:i] + (broken,) + pbw.DEFINITIONS[i + 1:])
+
+
+def test_non_scalar_character_fails_its_check_and_exits_1(monkeypatch, capsys):
+    # the doubled z coefficient: the module-family check fails and names
+    # every full family, where central_character's ArithmeticError used to
+    # end the run (exit 2)
+    _double_z_in_z_tilde(monkeypatch)
     failing = _failing(conformance.run_conformance(5))
     assert failing["module_families_relations_simplicity_characters"]["detail"] == "V1p,V2p,V3p,V4p"
     assert cli.main(["conformance", "--m", "5"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["all_pass"] is False
     assert "module_families_relations_simplicity_characters" in _failing(report)
+
+
+def test_character_of_a_non_scalar_element_exits_1(monkeypatch, capsys):
+    # the same defect through ``uqb2 character``: a failed check that names
+    # z1 (exit 1), where it was reported as a usage error (exit 2); input
+    # that divides by zero is still a usage error
+    _double_z_in_z_tilde(monkeypatch)
+    argv = ["character", "--m", "5", "--family", "V1p", "--params"]
+    assert cli.main(argv + ["1,1,1,0"]) == 1
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert report["characters"] is None and err == ""
+    assert report["failure"] == "z1 failed to act as a scalar"
+    assert cli.main(argv + ["1,1,1/0,0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")

@@ -144,11 +144,46 @@ def test_unit_inverse_matches_the_norm_inverse(m, monkeypatch):
         assert (inv.num, inv.den) == (ctx.q_pow(-k).num, 1)
 
 
+def _norm_inverse(a):
+    """1/a as the product P of the nontrivial conjugates of a over the norm
+    N = A*P, A = a*den, each conjugate read off ``laurent`` and multiplied in
+    by ``CycNum`` products: the reference for ``CycNum.invert``, taking none
+    of its closed forms."""
+    ctx = a.ctx
+    A = dict(enumerate(a.num))
+    P = ctx.one
+    for j in range(2, ctx.m):
+        if math.gcd(j, ctx.m) == 1:
+            P = P * ctx.laurent({j * t: x for t, x in A.items()})
+    N = ctx.laurent(A) * P
+    assert not any(N.num[1:])
+    return P * Fraction(a.den * N.den, N.num[0])
+
+
+@pytest.mark.parametrize("m", range(5, 65))
+def test_closed_form_inverses_match_the_norm_product(m, monkeypatch):
+    ctx = field_init(m)
+    cases = [ctx.from_fraction(Fraction(sign * a, b))
+             for a, b in ((1, 1), (2, 1), (1, 3), (6, 35), (2 ** 64 + 1, 3 ** 30)) for sign in (1, -1)]
+    for s in range(1, m):
+        x = ctx.q_pow(s) - 1
+        cases += [x, -x, x * Fraction(1, 6), x * Fraction(-1, 35)]  # q^s - 1, 1 - q^s, over a denominator
+    refs = [_norm_inverse(x) for x in cases]
+    # a closed form forms no product: every one of these passes no _mul_int
+    monkeypatch.setattr(cyclotomic, "_mul_int", None)
+    for x, ref in zip(cases, refs):
+        inv = x.invert()
+        assert inv == ref, (m, x)
+        _assert_canonical(inv)
+
+
 @pytest.mark.parametrize("m", range(5, 37))
 def test_q_bracket_matches_its_defining_quotient(m):
     ctx = field_init(m)
     for step in (1, -1, 2, -2, 3, 4, -4):
-        inv = (ctx.q_pow(step) - 1).invert()
+        # the norm product, so that the bracket is not checked against the
+        # closed form 1/(q^s - 1) = sum(i * q^(s*i)) / n of ``CycNum.invert``
+        inv = _norm_inverse(ctx.q_pow(step) - 1)
         for k in range(-2 * m, 2 * m + 1):
             assert ctx.q_bracket(k, step) == (ctx.q_pow(step * k) - 1) * inv, (k, step)
 

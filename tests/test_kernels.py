@@ -175,6 +175,27 @@ def test_scalar_of_edge_cases(context_factory):
     assert linalg.scalar_of([{0: 4}, {1: 4}], 0) == 4
 
 
+def _entrywise_residues(a):
+    """``CycNum.residue`` of every entry, zeros left out; None if one has none."""
+    out = []
+    for row in a:
+        res = {j: c.residue() for j, c in row.items()}
+        if None in res.values():
+            return None
+        out.append({j: r for j, r in res.items() if r})
+    return out
+
+
+@pytest.mark.parametrize("m", range(5, 41))
+def test_mat_residues_match_the_entrywise_residues(context_factory, m):
+    ctx = context_factory(m)
+    for family in repmod.FAMILIES:
+        for params in conformance._sample_params(ctx, family):
+            rep = repmod.build(ctx, params)
+            for M in (*rep.act.values(), *repmod.direct_sum(rep, rep).act.values()):
+                assert linalg.mat_residues(M) == _entrywise_residues(M) is not None, (m, family)
+
+
 def test_mat_residues_edge_cases(context_factory):
     ctx = context_factory(5)
     p, rpow = residue_map(5)
@@ -183,6 +204,23 @@ def test_mat_residues_edge_cases(context_factory):
     assert res == [{1: rpow[1]}, {1: 1}]
     assert linalg.mat_residues([{0: ctx.one}, {1: ctx.scalar(Fraction(1, p))}]) is None
     assert linalg.mat_residues(linalg.zero_matrix(2)) == [{}, {}]
+    assert linalg.mat_residues([]) == []
+    # units, rationals and general entries over shared denominators, against
+    # the entrywise residues; an entry whose denominator p divides has none,
+    # wherever it stands
+    ctx = context_factory(7)
+    p, rpow = residue_map(7)
+    q = ctx.q
+    rows = [{0: q ** 3, 2: Fraction(2, 3) * q + 1}, {}, {1: ctx.scalar(Fraction(5, 3)), 2: -q ** 6},
+            {0: ctx.scalar(p) * (q - 1), 3: q ** 2 / 9}]
+    expected = _entrywise_residues(rows)
+    assert expected[0][0] == rpow[3] and expected[3] == {3: rpow[2] * pow(9, -1, p) % p}
+    assert linalg.mat_residues(rows) == expected
+    for i in (0, 2, 3):
+        bad = [dict(row) for row in rows]
+        bad[i][1] = (q + 2) / (3 * p)
+        assert linalg.mat_residues(bad) is None
+        assert _entrywise_residues(bad) is None
 
 
 def _params(ctx, family):

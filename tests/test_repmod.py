@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from uqb2 import lattice, linalg, repmod
@@ -65,6 +67,88 @@ def test_built_matrices_store_no_zero(context_factory, m):
             for rep in (r, repmod.direct_sum(r, r)):
                 assert all(x for M in rep.act.values() for row in M for x in row.values()), \
                     (m, family, vals)
+
+
+def _quotient_build(ctx, params):
+    """The family's action matrices from the quotient formulas, each entry
+    formed on its own: q-brackets by ``FieldContext.q_bracket`` and V4p's
+    Gaussian binomial as (q^(2k) - 1)(q^(2k-2) - 1) / ((q^4 - 1)(q^2 - 1));
+    the reference for ``repmod.build``'s running sums."""
+    family, d, q = params.family, repmod.module_dimension(ctx, params.family), ctx.q_pow
+    a, b, g, dl = params.alpha, params.beta, params.gamma, params.delta
+    e1, e2, e3, zt = (linalg.zero_matrix(d) for _ in range(4))
+    base = repmod.base_family(family)
+    if base == "V4p":
+        den_inv = ((q(4) - 1) * (q(2) - 1)).invert()
+        for k in range(d):
+            if b:
+                e1[k][k] = b * q(-2 * k)
+            if k >= 2:
+                e1[k][k - 2] = -q(-2 * (k - 1)) * ((q(2 * k) - 1) * (q(2 * (k - 1)) - 1) * den_inv) * a
+            if k != d - 1:
+                e2[k][k + 1] = ctx.one
+            elif g:
+                e2[k][0] = g
+            if k:
+                e3[k][k - 1] = a * ctx.q_bracket(k, 2)
+        return {"e1": e1, "e2": e2, "e3": e3, "z": linalg.scalar_matrix(d, a)}
+    step, unit, central = {"V1": (-2, b, g), "V2": (2, b, g), "V3": (2, a, b)}[base]
+    ainv, uinv = a.invert(), unit.invert()
+    for k in range(d):
+        e3[k][k] = q(step * k) * unit
+        if base == "V1":
+            e1[k][(k + 1) % d] = a
+            x = ainv * (dl + ctx.q_bracket(k, -4) * b * b)
+            if x:
+                zt[k][(k - 1) % d] = x
+        else:
+            x = -ctx.q_bracket(k, 4) * (b * b * ainv if base == "V2" else a * a)
+            if x:
+                e1[k][k - 1] = x
+            if base == "V2":
+                zt[k][(k + 1) % d] = a
+            elif k != d - 1:
+                zt[k][k + 1] = ctx.one
+    z = linalg.scalar_matrix(d, central)
+    if family == base:
+        return {"e1": e1, "e3": e3, "z": z, "zt": zt}
+    # e2 = (zt - z/(q^2 - 1)) e3^(-1), e3^(-1) = diag(q^(-step*k) / unit)
+    zq = central / (q(2) - 1)
+    for k in range(d):
+        for j, x in zt[k].items():
+            e2[k][j] = x * q(-step * j) * uinv
+        x = e2[k].pop(k, ctx.zero) - zq * q(-step * k) * uinv
+        if x:
+            e2[k][k] = x
+    return {"e1": e1, "e2": e2, "e3": e3, "z": z}
+
+
+def _build_params(ctx):
+    """Unit, rational and non-unit parameters per base family, with the zero
+    slots the families allow: delta = 0 in V1, beta = gamma = 0 in V4p."""
+    q = ctx.q
+    return {
+        "V1": [(1, 1, 1, 0), (q, q ** 2, 2, q ** 3), (Fraction(2, 3), Fraction(-5, 7), 3, Fraction(1, 2)),
+               (q + 1, q ** 2 - Fraction(1, 3), 1 - q, 0), (q ** 3 - 2, q + Fraction(1, 2), q, q ** 2 + q)],
+        "V2": [(1, 1, 1), (q ** 2, q, q), (Fraction(3, 2), Fraction(-1, 5), 7), (q + 1, 2 * q - 3, q ** 2 + 1)],
+        "V3": [(1, 1), (q, q ** 3), (Fraction(-4, 9), Fraction(2, 11)), (q ** 2 - q + 2, Fraction(1, 3) * q)],
+        "V4p": [(1, 1, 0), (q, 0, q ** 2), (1, 0, 0), (Fraction(2, 3), Fraction(1, 5), Fraction(-3, 2)),
+                (q + 1, 0, 2 * q - 1), (q ** 2 - Fraction(1, 2), q + 3, 0)],
+    }
+
+
+@pytest.mark.parametrize("m", [*range(5, 41), 61])
+def test_build_matches_the_quotient_formulas(context_factory, m):
+    # equal matrices, and no zero stored: [l/2]_4 = 0 in V2 when l is even
+    # (m = 8), delta = 0 in V1, beta = gamma = 0 in V4p
+    ctx = context_factory(m)
+    pools = _build_params(ctx)
+    for family in repmod.FAMILIES:
+        for vals in pools[repmod.base_family(family)]:
+            params = repmod.module_params(ctx, family, *vals)
+            act = repmod.build(ctx, params).act
+            assert act == _quotient_build(ctx, params), (m, family, vals)
+            assert all(x for M in act.values() for row in M for x in row.values()), (m, family, vals)
 
 
 def test_v1p_scalar_z_action(context_factory):
